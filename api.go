@@ -268,9 +268,11 @@ func (c *Classifier) Snapshot() []Rule {
 	return out
 }
 
-// Replace implements Engine: the replacement ruleset is built on the
-// quiesced RCU spare and published with a single pointer swap, so
-// concurrent lookups see the old or the new ruleset, never a mix.
+// Replace implements Engine: a fresh RCU snapshot pair is built from the
+// replacement ruleset off to the side and installed with a single pointer
+// swap as the last step, so concurrent lookups see the old or the new
+// ruleset, never a mix, and a build that fails has published nothing.
+// Stats stay cumulative across the swap.
 func (c *Classifier) Replace(rules []Rule) (Cost, error) {
 	if err := validateReplaceRules(rules); err != nil {
 		return Cost{}, err
@@ -409,9 +411,9 @@ func (c *Classifier6) Snapshot() []Rule6 {
 }
 
 // Replace atomically swaps the whole IPv6 ruleset, with the same
-// contract as Engine.Replace: the new state is built on the quiesced RCU
-// spare and published with a single pointer swap; nil or empty rules
-// reset the domain; on error the published ruleset is unchanged.
+// contract as Engine.Replace: a fresh RCU snapshot pair is built off to
+// the side and installed with a single pointer swap as the last step; nil
+// or empty rules reset the domain; on error nothing has been published.
 func (c *Classifier6) Replace(rules []Rule6) (Cost, error) {
 	seen := make(map[int]struct{}, len(rules))
 	ts := make([]core.Tuple[lpm.V6], len(rules))

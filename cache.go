@@ -96,7 +96,13 @@ func (c *cachedEngine) Delete(id int) (Cost, error) {
 // invalidates the cache with a single generation bump — one
 // invalidation for the entire swap, not one per rule, so the cache
 // refills immediately against the new ruleset instead of churning
-// through N generations.
+// through N generations. The inner engine publishes the new ruleset as
+// the last step of its Replace and the bump follows at once, so the
+// window in which a lookup can still be served a line filled under the
+// old ruleset is one reader drain, not the length of the build. The
+// window is not zero: the cache generation is not tied to the ruleset
+// generation, and a burst that straddles it can mix the two. Once
+// Replace has returned, no lookup sees a pre-swap verdict.
 func (c *cachedEngine) Replace(rules []Rule) (Cost, error) {
 	cost, err := c.inner.Replace(rules)
 	if err == nil {

@@ -190,14 +190,20 @@
 //	_, err := eng.Replace(newRules)    // build aside, publish with one RCU swap
 //	_, err = eng.Replace(nil)          // atomic reset
 //
-// Replace builds the new state off to the side and publishes it with a
-// single RCU pointer swap — on a sharded engine the whole replica set
-// is rebuilt aside and installed with one atomic pointer store — so
-// concurrent lookups observe either the complete old ruleset or the
-// complete new one, never the intermediate states an Insert/Delete
-// churn would expose. On error the published ruleset is unchanged. A
-// flow-cached engine invalidates with a single generation bump per
-// swap.
+// Replace builds the new state fresh, off to the side, and publishes it
+// as its last step with a single RCU pointer swap — on a sharded engine
+// the whole replica set is rebuilt aside and installed with one atomic
+// pointer store — so concurrent lookups observe either the complete old
+// ruleset or the complete new one, never the intermediate states an
+// Insert/Delete churn would expose. The old ruleset is dropped, not
+// deleted rule by rule: a swap costs what building the new ruleset
+// costs, the returned Cost is that download alone, and both rulesets
+// are in memory until it returns. On error nothing has been published.
+// Flow-cached and stateful engines invalidate with a single generation
+// bump per swap, immediately after the inner publication; until that
+// bump — one reader drain — a lookup can still be answered from a line
+// or a flow that the old ruleset filled, so a burst straddling the swap
+// may mix generations there, and none can once Replace has returned.
 //
 // The serialized form lives in internal/snapfile: a versioned,
 // CRC-32-checksummed text format that round-trips byte-for-byte. The

@@ -67,14 +67,18 @@ type Engine interface {
 	// the snapshot file format serializes.
 	Snapshot() []Rule
 	// Replace atomically swaps the entire ruleset: the new state is
-	// built off to the side and published with a single RCU pointer
-	// swap, so concurrent Lookup/LookupBatch callers observe either the
-	// complete old ruleset or the complete new one, never a mix. The
-	// rules follow the same contract as Insert (unique non-zero IDs,
-	// non-zero priorities); nil or empty rules reset the engine. On
-	// error the published ruleset is unchanged. The returned cost is
-	// the full download of the new state (plus teardown of the old),
-	// mirroring the paper's whole-ruleset download model.
+	// built fresh, off to the side, and published as the last step
+	// with a single RCU pointer swap, so concurrent Lookup/LookupBatch
+	// callers observe either the complete old ruleset or the complete
+	// new one, never a mix, and the old rules are dropped rather than
+	// deleted one by one. The rules follow the same contract as Insert
+	// (unique non-zero IDs, non-zero priorities); nil or empty rules
+	// reset the engine. On error nothing has been published and the
+	// installed ruleset is untouched. The returned cost is the
+	// download cost of the new ruleset only — it goes into fresh
+	// banks, so there is no teardown term — mirroring the paper's
+	// whole-ruleset download model (Fig. 3). While Replace runs, the
+	// old and the new state are both in memory.
 	Replace(rules []Rule) (Cost, error)
 }
 

@@ -20,6 +20,20 @@ import (
 type Classifier[K lpm.Key[K]] struct {
 	cfg Config
 
+	tables[K]
+
+	// counters holds the lookup-path statistics. They are atomic so that
+	// concurrent lookups on one snapshot (the Concurrent wrapper runs
+	// many readers against the same instance) stay race-free; everything
+	// else in the struct is written only while the instance is quiesced.
+	counters lookupCounters
+}
+
+// tables is everything a rule update writes: the field engines and the
+// decision controller's bookkeeping for one ruleset. It is kept apart from
+// the configuration and the lookup counters so that Replace can adopt a
+// freshly built set wholesale.
+type tables[K lpm.Key[K]] struct {
 	srcEngine lpmEngine[K]
 	dstEngine lpmEngine[K]
 	spEngine  rangematch.Engine
@@ -53,12 +67,6 @@ type Classifier[K lpm.Key[K]] struct {
 
 	// rules indexes compiled rules by ID for deletion.
 	rules map[int]compiledRule[K]
-
-	// counters holds the lookup-path statistics. They are atomic so that
-	// concurrent lookups on one snapshot (the Concurrent wrapper runs
-	// many readers against the same instance) stay race-free; everything
-	// else in the struct is written only while the instance is quiesced.
-	counters lookupCounters
 }
 
 // numFields is the 5-tuple dimensionality.
@@ -131,23 +139,19 @@ func New[K lpm.Key[K]](cfg Config, prefixLens []uint8) (*Classifier[K], error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol engine: %w", err)
 	}
-	c := &Classifier[K]{
-		cfg:       cfg,
+	c := &Classifier[K]{cfg: cfg, tables: tables[K]{
 		srcEngine: src,
 		dstEngine: dst,
 		spEngine:  sp,
 		dpEngine:  dp,
 		prEngine:  pr,
 		rules:     make(map[int]compiledRule[K]),
-	}
+	}}
 	c.srcSpecs.init()
 	c.dstSpecs.init()
 	c.spSpecs.init()
 	c.dpSpecs.init()
 	c.prSpecs.init()
-	for f := range c.bounds {
-		c.bounds[f].init()
-	}
 	return c, nil
 }
 
@@ -371,32 +375,39 @@ func (c *Classifier[K]) Tuples() []Tuple[K] {
 	return out
 }
 
-// Replace swaps the entire ruleset for ts in one transactional step:
-// every installed rule is removed (in ascending ID order, so replaying
-// the mutation on the second RCU instance stays deterministic) and the
-// new list is bulk-loaded. On failure the previous ruleset is restored
-// and the error returned, so the classifier never ends half-replaced.
-// The returned cost is the full teardown-plus-download cost.
-func (c *Classifier[K]) Replace(ts []Tuple[K]) (hwsim.Cost, error) {
-	old := c.Tuples()
-	var total hwsim.Cost
-	for _, t := range old {
-		dc, err := c.Delete(t.ID)
-		if err != nil {
-			panic(fmt.Sprintf("core: replace teardown of rule %d failed: %v", t.ID, err))
-		}
-		total = total.Add(dc)
+// buildFresh builds a new classifier holding exactly ts — the one way a
+// whole ruleset is loaded or replaced. The prefix-length hint comes from
+// ts, so the result does not depend on what was installed before. On error
+// nothing of the attempt survives.
+func buildFresh[K lpm.Key[K]](cfg Config, ts []Tuple[K]) (*Classifier[K], hwsim.Cost, error) {
+	lens := make([]uint8, 0, 2*len(ts))
+	for i := range ts {
+		lens = append(lens, ts[i].Src.Len, ts[i].Dst.Len)
 	}
-	bc, err := c.Build(ts)
+	c, err := New[K](cfg, lens)
 	if err != nil {
-		// Build already unwound its partial inserts; reinstall the old
-		// ruleset so the published state is exactly as before.
-		if _, rerr := c.Build(old); rerr != nil {
-			panic(fmt.Sprintf("core: replace rollback failed after %v: %v", err, rerr))
-		}
+		return nil, hwsim.Cost{}, err
+	}
+	cost, err := c.Build(ts)
+	if err != nil {
+		return nil, hwsim.Cost{}, err
+	}
+	return c, cost, nil
+}
+
+// Replace swaps the entire ruleset for ts: a fresh set of tables is built
+// off to the side and adopted in place, so the old rules are dropped, not
+// torn down one by one. If the build fails (a duplicate ID, an engine out
+// of capacity) the error is returned and the classifier is untouched. The
+// lookup counters carry on across the swap. The returned cost is the
+// download cost of the new ruleset only — fresh banks, no teardown term.
+func (c *Classifier[K]) Replace(ts []Tuple[K]) (hwsim.Cost, error) {
+	fresh, cost, err := buildFresh(c.cfg, ts)
+	if err != nil {
 		return hwsim.Cost{}, err
 	}
-	return total.Add(bc), nil
+	c.tables = fresh.tables
+	return cost, nil
 }
 
 // Stats returns a snapshot of the accumulated statistics.
@@ -495,12 +506,14 @@ func (t *specTable[S]) release(s S) (label.Label, bool) {
 
 // prioTracker maintains, per label, the multiset of priorities of rules
 // using it, exposing the minimum as the ULI pruning bound. Labels are
-// dense small integers, so the minima live in a flat slice indexed by
-// label — min() on the lookup hot path is one bounds check and one load,
-// while the priority multiset (update-time only) stays in maps.
+// dense small integers, so both halves are flat slices indexed by label:
+// min() on the lookup hot path is one bounds check and one load from mins,
+// and the multiset (update-time only) is the label's priorities in
+// ascending order, repeats kept, so the bound after a removal is its first
+// element rather than a scan.
 type prioTracker struct {
-	counts map[label.Label]map[int]int
-	mins   []labelBound
+	prios [][]int
+	mins  []labelBound
 }
 
 // labelBound is one slot of the flat minimum table; ok distinguishes an
@@ -510,48 +523,45 @@ type labelBound struct {
 	ok   bool
 }
 
-func (p *prioTracker) init() {
-	p.counts = make(map[label.Label]map[int]int)
-}
-
 func (p *prioTracker) add(l label.Label, prio int) {
-	m := p.counts[l]
-	if m == nil {
-		m = make(map[int]int)
-		p.counts[l] = m
-	}
-	m[prio]++
 	for int(l) >= len(p.mins) {
 		p.mins = append(p.mins, labelBound{})
+		p.prios = append(p.prios, nil)
 	}
-	if b := &p.mins[l]; !b.ok || prio < b.prio {
-		b.prio, b.ok = prio, true
-	}
+	s := p.prios[l]
+	// After any equal priorities: rules arriving in priority order append.
+	i := sort.Search(len(s), func(i int) bool { return s[i] > prio })
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = prio
+	p.prios[l] = s
+	p.mins[l] = labelBound{prio: s[0], ok: true}
 }
 
 func (p *prioTracker) remove(l label.Label, prio int) {
-	m := p.counts[l]
-	if m == nil {
+	if int(l) >= len(p.prios) {
 		return
 	}
-	m[prio]--
-	if m[prio] <= 0 {
-		delete(m, prio)
+	s := p.prios[l]
+	i := sort.SearchInts(s, prio)
+	if i == len(s) || s[i] != prio {
+		return
 	}
-	if len(m) == 0 {
-		delete(p.counts, l)
+	// Close the gap from the shorter side: taking out a label's best or
+	// worst priority — a teardown in either priority order — moves nothing.
+	if i < len(s)/2 {
+		copy(s[1:i+1], s[:i])
+		s = s[1:]
+	} else {
+		s = append(s[:i], s[i+1:]...)
+	}
+	if len(s) == 0 {
+		p.prios[l] = nil
 		p.mins[l] = labelBound{}
 		return
 	}
-	if p.mins[l].prio == prio {
-		best := -1
-		for q := range m {
-			if best < 0 || q < best {
-				best = q
-			}
-		}
-		p.mins[l].prio = best
-	}
+	p.prios[l] = s
+	p.mins[l].prio = s[0]
 }
 
 // min returns the best priority bound for the label; ok is false if the

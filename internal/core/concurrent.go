@@ -61,19 +61,32 @@ func (c *Concurrent[K]) Delete(id int) (hwsim.Cost, error) {
 	return cost, err
 }
 
-// Replace atomically swaps the whole ruleset for ts. The new state is
-// built on the quiesced spare instance and published with the store's
-// single pointer swap, so concurrent Lookup/LookupBatch callers observe
-// either the complete old ruleset or the complete new one — never an
-// intermediate mix. On failure the published state is unchanged.
+// Replace atomically swaps the whole ruleset for ts. Both snapshot
+// instances are built fresh, off to the side, and installed together by
+// the store's Swap, so publication is the last step: concurrent
+// Lookup/LookupBatch callers observe either the complete old ruleset or
+// the complete new one — never an intermediate mix — and a build that
+// fails returns its error with nothing published. The retired pair's
+// lookup counters are folded into the new pair, so Stats stays cumulative.
+// An Insert or Delete that completes while the new pair is being built is
+// ordered before the Replace and is replaced with everything else. Four
+// instances are alive until Replace returns, instead of the usual two. The
+// returned cost is the download cost of the new ruleset only.
 func (c *Concurrent[K]) Replace(ts []Tuple[K]) (hwsim.Cost, error) {
-	var cost hwsim.Cost
-	err := c.store.Update(func(cl *Classifier[K]) error {
-		var e error
-		cost, e = cl.Replace(ts)
-		return e
-	}, nil) // Replace restores the previous ruleset on failure
-	return cost, err
+	cfg := c.Config()
+	a, cost, err := buildFresh(cfg, ts)
+	if err != nil {
+		return hwsim.Cost{}, err
+	}
+	b, _, err := buildFresh(cfg, ts)
+	if err != nil {
+		return hwsim.Cost{}, err
+	}
+	c.store.Swap(a, b, func(oldActive, oldSpare *Classifier[K]) {
+		a.counters.absorb(&oldActive.counters)
+		a.counters.absorb(&oldSpare.counters)
+	})
+	return cost, nil
 }
 
 // Tuples exports the installed rules sorted by ascending ID, read from

@@ -212,3 +212,59 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentStatsSurviveReplace checks that a whole-ruleset swap does
+// not lose lookup accounting: the counters of the retired pair carry over
+// into the new one, so Stats and the pipeline model stay cumulative across
+// Replace, and ResetStats still zeroes them — for good, not until the next
+// swap brings retired counts back.
+func TestConcurrentStatsSurviveReplace(t *testing.T) {
+	s, err := ruleset.Generate(ruleset.Config{Family: ruleset.FW, Size: 200, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := ruleset.GenerateTrace(s, ruleset.TraceConfig{Size: 300, HitRatio: 0.8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewConcurrentV4(Config{}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() {
+		for _, h := range trace {
+			c.Lookup(V4Header(h))
+		}
+	}
+	// An Insert in between flips the pair, so both instances hold counts
+	// by the time they are retired.
+	lookups()
+	extra := V4Tuple(rule.Rule{ID: 9001, Priority: 9001, SrcPort: rule.FullPortRange(), DstPort: rule.FullPortRange()})
+	if _, err := c.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	lookups()
+	before := c.Stats()
+	if before.ProbeOps != 2*len(trace) || before.Probes == 0 || before.EngineCycles == 0 || before.MaxListLen == 0 {
+		t.Fatalf("stats before replace: %+v", before)
+	}
+	if _, err := c.Replace(CompileSet(s)); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	after.Rules, after.Labels = before.Rules, before.Labels // the population followed the swap; the counters must not move
+	if after != before {
+		t.Fatalf("Replace changed the lookup counters:\nbefore %+v\nafter  %+v", before, after)
+	}
+	lookups()
+	if got := c.Stats().ProbeOps; got != 3*len(trace) {
+		t.Fatalf("ProbeOps = %d after replace and %d more lookups, want %d", got, len(trace), 3*len(trace))
+	}
+	c.ResetStats()
+	if _, err := c.Replace(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats(); got != (Stats{}) {
+		t.Fatalf("stats after ResetStats and a reset: %+v", got)
+	}
+}

@@ -61,11 +61,8 @@ func PrefixLens(s *rule.Set) []uint8 {
 // decision-control flow: optimize, select algorithms, compile and
 // download. It returns the classifier and the total update cost.
 func NewV4(cfg Config, s *rule.Set) (*Classifier[lpm.V4], Throughput, error) {
-	c, err := New[lpm.V4](cfg, PrefixLens(s))
+	c, _, err := buildFresh(cfg, CompileSet(s))
 	if err != nil {
-		return nil, Throughput{}, err
-	}
-	if _, err := c.Build(CompileSet(s)); err != nil {
 		return nil, Throughput{}, err
 	}
 	return c, c.Throughput(), nil

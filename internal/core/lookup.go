@@ -189,6 +189,17 @@ func (lc *lookupCounters) addTo(s *Stats) {
 	s.FirstHitProbes += int(lc.firstHitProbes.Load())
 }
 
+// absorb adds the counters of a retired, quiesced instance to lc, which
+// may be serving readers.
+func (lc *lookupCounters) absorb(from *lookupCounters) {
+	lc.hardwareOverflows.Add(from.hardwareOverflows.Load())
+	lc.probes.Add(from.probes.Load())
+	lc.probeOps.Add(from.probeOps.Load())
+	lc.observeListLen(int(from.maxListLen.Load()))
+	lc.engineCycles.Add(from.engineCycles.Load())
+	lc.firstHitProbes.Add(from.firstHitProbes.Load())
+}
+
 func (lc *lookupCounters) reset() {
 	lc.hardwareOverflows.Store(0)
 	lc.probes.Store(0)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/hwsim"
 	"repro/internal/lpm"
 	"repro/internal/rule"
 )
@@ -170,4 +172,114 @@ func TestChurnWithFailuresStaysConsistent(t *testing.T) {
 			t.Fatalf("op %d: (%d,%v) vs oracle (%d,%v)", op, got.RuleID, got.Found, bestID, found)
 		}
 	}
+}
+
+// TestReplaceFailedBuildPublishesNothing drives Replace into a build that
+// fails part-way — a replacement needing more destination-port slots than
+// the register bank has, and one repeating a rule ID — on the bare
+// classifier and on the concurrent pair. The installed ruleset must come
+// through byte-identical: Tuples, Len, Memory and every lookup with its
+// cost. On the pair it must also be the same two instances as before, i.e.
+// nothing was rebuilt to get back there.
+func TestReplaceFailedBuildPublishesNothing(t *testing.T) {
+	cfg := Config{Range: RangeRegisterBank, BankCapacity: 4}
+	mk := func(id int, dport uint16) Tuple[lpm.V4] {
+		return V4Tuple(rule.Rule{
+			ID: id, Priority: id,
+			SrcIP:   rule.Prefix{Addr: uint32(id) << 24, Len: 8},
+			SrcPort: rule.FullPortRange(),
+			DstPort: rule.ExactPort(dport),
+			Proto:   rule.ExactProto(rule.ProtoTCP),
+			Action:  rule.ActionPermit,
+		})
+	}
+	old := []Tuple[lpm.V4]{mk(1, 1001), mk(2, 1002), mk(3, 1003)}
+	var tooMany []Tuple[lpm.V4] // the bank fills at the fifth distinct port
+	for i := 1; i <= 10; i++ {
+		tooMany = append(tooMany, mk(20+i, uint16(2000+i)))
+	}
+	repeated := []Tuple[lpm.V4]{mk(31, 3001), mk(32, 3002), mk(31, 3003)}
+	var probes []Header[lpm.V4]
+	for id := 1; id <= 40; id++ {
+		for _, port := range []uint16{1001, 1002, 1003, 2001, 3001} {
+			probes = append(probes, Header[lpm.V4]{Src: lpm.V4(uint32(id) << 24), DstPort: port, Proto: rule.ProtoTCP})
+		}
+	}
+
+	type domain interface {
+		Replace([]Tuple[lpm.V4]) (hwsim.Cost, error)
+		Tuples() []Tuple[lpm.V4]
+		Len() int
+		Memory() hwsim.MemoryMap
+		LookupBatch([]Header[lpm.V4]) ([]Result, hwsim.Cost)
+	}
+	type observed struct {
+		tuples  []Tuple[lpm.V4]
+		n       int
+		mem     hwsim.MemoryMap
+		results []Result
+		cost    hwsim.Cost
+	}
+	observe := func(d domain) observed {
+		o := observed{tuples: d.Tuples(), n: d.Len(), mem: d.Memory()}
+		o.results, o.cost = d.LookupBatch(probes)
+		return o
+	}
+	// instances, when not nil, names the objects serving d; a failed Replace
+	// must leave them in place, not rebuild its way back to the same state.
+	check := func(t *testing.T, d domain, instances func() any) {
+		t.Helper()
+		if _, err := d.Replace(old); err != nil {
+			t.Fatal(err)
+		}
+		before := observe(d)
+		if before.n != len(old) {
+			t.Fatalf("Len = %d, want %d", before.n, len(old))
+		}
+		var serving any
+		if instances != nil {
+			serving = instances()
+		}
+		for name, bad := range map[string][]Tuple[lpm.V4]{"bank full": tooMany, "repeated id": repeated} {
+			cost, err := d.Replace(bad)
+			if err == nil {
+				t.Fatalf("%s: Replace should fail", name)
+			}
+			if cost != (hwsim.Cost{}) {
+				t.Errorf("%s: failed Replace reported cost %+v", name, cost)
+			}
+			if after := observe(d); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: failed Replace changed the classifier:\nbefore %+v\nafter  %+v", name, before, after)
+			}
+			if instances != nil && instances() != serving {
+				t.Fatalf("%s: failed Replace installed new instances", name)
+			}
+		}
+		// And it is still fully usable: a replacement that fits goes in.
+		if _, err := d.Replace(tooMany[:4]); err != nil {
+			t.Fatalf("replace after failures: %v", err)
+		}
+		if d.Len() != 4 {
+			t.Fatalf("Len = %d after a good replace, want 4", d.Len())
+		}
+	}
+
+	t.Run("classifier", func(t *testing.T) {
+		c, err := New[lpm.V4](cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, c, nil)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		c, err := NewConcurrent[lpm.V4](cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, c, func() any {
+			var pair [2]*Classifier[lpm.V4]
+			c.store.Locked(func(active, spare *Classifier[lpm.V4]) { pair = [2]*Classifier[lpm.V4]{active, spare} })
+			return pair
+		})
+	})
 }

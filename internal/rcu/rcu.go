@@ -8,6 +8,12 @@
 // is one pointer load plus two atomic reference-count updates — and
 // writers pay each update twice instead of copying the whole structure,
 // which preserves the paper's O(1) incremental-update property.
+//
+// Update is that left-right path and serves incremental changes (one rule
+// in, one rule out). Swap is the whole-structure path: when the change is
+// the entire content, the caller builds a fresh pair off to the side and
+// Swap installs it, so nothing is torn down or replayed and a build that
+// fails has published nothing.
 package rcu
 
 import (
@@ -101,6 +107,28 @@ func (s *Store[T]) Update(apply func(T) error, repair func(T) error) error {
 		panic(fmt.Sprintf("rcu: update diverged between instances: %v", err))
 	}
 	return nil
+}
+
+// Swap installs a freshly built pair in place of both instances: a is
+// published with a single atomic store and b becomes the spare. Like the
+// arguments of NewStore, a and b must be structurally identical, and the
+// caller must not touch them afterwards except through the store. Once the
+// old active's readers have drained, retired — if not nil — runs with the
+// old pair, still under the writer lock: both are quiesced and no reader
+// will reach them again, so state that must outlive them (counters, say)
+// can be carried over before any other writer or Locked caller sees the
+// new pair without it. a is already serving readers by then, so retired
+// may write to it only what readers may (atomic state).
+func (s *Store[T]) Swap(a, b T, retired func(oldActive, oldSpare T)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, idle := s.active.Load(), s.spare
+	s.active.Store(&instance[T]{val: a})
+	s.spare = &instance[T]{val: b}
+	drain(cur)
+	if retired != nil {
+		retired(cur.val, idle.val)
+	}
 }
 
 // Locked runs f under the writer lock with both instances. The spare is

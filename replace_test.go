@@ -2,12 +2,14 @@ package repro_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	repro "repro"
+	"repro/internal/ruleset"
 )
 
 // replaceVariants enumerates the engine compositions every backend's
@@ -292,4 +294,70 @@ func runReplaceChurn(t *testing.T, opts []repro.Option, genA, genB generation, p
 		owner = genB
 	}
 	checkAgainstOracle(t, eng, owner.rs, probes)
+}
+
+// TestReplaceEqualsFreshBuild pins what a swap leaves behind: after
+// Replace(B) an engine that held A is indistinguishable from one built
+// from B — same Snapshot, Len and modeled Memory — because Replace builds
+// fresh rather than tearing A down (a torn-down trie keeps the nodes A
+// grew, and an AM-Trie keeps A's strides). IPv4 across the LPM modes, and
+// the IPv6 domain against the same rules inserted one by one.
+func TestReplaceEqualsFreshBuild(t *testing.T) {
+	corpus := conformanceCorpus(t)
+	a, b := corpus["acl"], corpus["fw"]
+	for name, cfg := range map[string]repro.Config{
+		"default": {},
+		"bst":     {LPM: repro.LPMBinarySearchTree, Range: repro.RangeSegmentTree},
+		"amtrie":  {LPM: repro.LPMAMTrie, Range: repro.RangeRangeTree, Exact: repro.ExactHashTable},
+	} {
+		swapped, err := repro.New(repro.WithConfig(cfg), repro.WithRules(a))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := swapped.Replace(b.Rules()); err != nil {
+			t.Fatalf("%s: Replace: %v", name, err)
+		}
+		fresh, err := repro.New(repro.WithConfig(cfg), repro.WithRules(b))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := swapped.Len(), fresh.Len(); got != want {
+			t.Errorf("%s: Len = %d, fresh build has %d", name, got, want)
+		}
+		if got, want := swapped.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Snapshot differs from a fresh build's", name)
+		}
+		if got, want := swapped.Memory(), fresh.Memory(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Memory = %+v\nfresh build: %+v", name, got, want)
+		}
+	}
+
+	swapped6, err := repro.New6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swapped6.Replace(ruleset.Embed6Set(a)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swapped6.Replace(ruleset.Embed6Set(b)); err != nil {
+		t.Fatal(err)
+	}
+	fresh6, err := repro.New6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ruleset.Embed6Set(b) {
+		if _, err := fresh6.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := swapped6.Len(), fresh6.Len(); got != want {
+		t.Errorf("v6: Len = %d, fresh build has %d", got, want)
+	}
+	if got, want := swapped6.Snapshot(), fresh6.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("v6: Snapshot differs from a fresh build's")
+	}
+	if got, want := swapped6.Memory(), fresh6.Memory(); !reflect.DeepEqual(got, want) {
+		t.Errorf("v6: Memory = %+v\nfresh build: %+v", got, want)
+	}
 }

@@ -121,7 +121,12 @@ func (s *statefulEngine) Delete(id int) (Cost, error) {
 // invalidates established state with a single generation bump — one
 // invalidation for the whole swap — unless the engine was built with
 // WithFlowStatePreserve, in which case live connections survive the
-// swap.
+// swap. The inner engine publishes the new ruleset as the last step of
+// its Replace and the bump follows at once, so a flow established under
+// the old ruleset can keep being admitted for one reader drain after the
+// new rules serve, not for the length of the build; like the flow
+// cache's, that window is short but not zero, and it closes before
+// Replace returns.
 func (s *statefulEngine) Replace(rules []Rule) (Cost, error) {
 	cost, err := s.inner.Replace(rules)
 	if err == nil && !s.preserve {
