@@ -322,7 +322,7 @@ type Classifier6 struct {
 // Deprecated: use New6 with WithConfig; NewClassifier6 remains as a thin
 // wrapper over the same engine.
 func NewClassifier6(cfg Config) (*Classifier6, error) {
-	inner, err := core.NewConcurrent[lpm.V6](cfg, nil)
+	inner, err := core.NewConcurrent[lpm.V6](cfg)
 	if err != nil {
 		return nil, err
 	}

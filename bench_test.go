@@ -1,30 +1,24 @@
 package repro
 
-// Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md section 4 and EXPERIMENTS.md for the
-// paper-vs-measured record):
+// Design-choice ablations of the paper's decomposition architecture
+// (PAPER.md): each sweeps one decision-control choice on a fixed ruleset
+// and reports the modeled cost beside the measured ns/op.
 //
-//	BenchmarkTableI      — multi-dimensional algorithm comparison
-//	BenchmarkTableII     — single-field engine comparison
-//	BenchmarkFig3        — ruleset update time (clock cycles)
-//	BenchmarkFig4        — packet lookup time vs PHS size (clock cycles)
-//	BenchmarkThroughput  — Section IV.D Mpps / Gbps figures
-//	BenchmarkAblation*   — design-choice studies from DESIGN.md section 5
+//	BenchmarkAblationStride      — MBT stride: lookup depth vs expansion memory
+//	BenchmarkAblationULI         — pruned vs exhaustive label combination (Eq. 1)
+//	BenchmarkAblationRangeEngine — port engine inside the full classifier
+//	BenchmarkAblationOptimizer   — label-rule mapping optimization (Section III.D)
 //
-// The cmd/lookupbench binary prints the same data as formatted tables.
+// The paper's own tables and figures are printed by cmd/lookupbench; the
+// serving path's performance is recorded by the benchmark ledger
+// (go run ./benchmark).
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/hwsim"
-	"repro/internal/label"
 	"repro/internal/lpm"
-	"repro/internal/packet"
-	"repro/internal/rangematch"
 	"repro/internal/rule"
 	"repro/internal/ruleset"
 )
@@ -56,341 +50,8 @@ func workload(b *testing.B, fam ruleset.Family, size, traceN int) benchWorkload 
 	return w
 }
 
-// BenchmarkTableI measures every Table I comparator on the standard
-// rulesets: ns per lookup (measured), bytes of data structure and
-// incremental-update support (reported as metrics).
-func BenchmarkTableI(b *testing.B) {
-	for _, fam := range ruleset.Families() {
-		for _, size := range []int{1000, 10000} {
-			w := workload(b, fam, size, 4096)
-			for _, cls := range baseline.All() {
-				cls := cls
-				name := fmt.Sprintf("%s/%s-%s", cls.Name(), fam, ruleset.SizeName(size))
-				b.Run(name, func(b *testing.B) {
-					if err := cls.Build(w.set); err != nil {
-						b.Skipf("build: %v", err)
-					}
-					b.ReportMetric(float64(cls.MemoryBytes()), "bytes")
-					if cls.IncrementalUpdate() {
-						b.ReportMetric(1, "incr")
-					} else {
-						b.ReportMetric(0, "incr")
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						cls.Match(w.trace[i%len(w.trace)])
-					}
-				})
-			}
-			// This work: the paper's decomposition classifier in MBT mode.
-			b.Run(fmt.Sprintf("ThisWork-MBT/%s-%s", fam, ruleset.SizeName(size)), func(b *testing.B) {
-				c, _, err := core.NewV4(core.Config{LPM: core.LPMMultiBitTrie}, w.set)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(c.Memory().TotalBytes()), "bytes")
-				b.ReportMetric(1, "incr")
-				headers := make([]core.Header[lpm.V4], len(w.trace))
-				for i, h := range w.trace {
-					headers[i] = core.V4Header(h)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Lookup(headers[i%len(headers)])
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTableII measures the single-field engine candidates: modeled
-// lookup cycles, modeled memory and measured ns/op, on the prefix and
-// range populations of the ACL-10K ruleset.
-func BenchmarkTableII(b *testing.B) {
-	w := workload(b, ruleset.ACL, 10000, 4096)
-
-	var prefixes []lpm.Prefix[lpm.V4]
-	seen := map[lpm.Prefix[lpm.V4]]bool{}
-	var lens []uint8
-	for _, r := range w.set.Rules() {
-		for _, p := range []rule.Prefix{r.SrcIP, r.DstIP} {
-			lp := lpm.V4Prefix(p)
-			if !seen[lp] {
-				seen[lp] = true
-				prefixes = append(prefixes, lp)
-				lens = append(lens, p.Len)
-			}
-		}
-	}
-	keys := make([]lpm.V4, len(w.trace))
-	for i, h := range w.trace {
-		keys[i] = lpm.V4(h.SrcIP)
-	}
-
-	type lpmEngine interface {
-		Insert(lpm.Prefix[lpm.V4], label.Label) hwsim.Cost
-		Lookup(lpm.V4, []label.Label) ([]label.Label, hwsim.Cost)
-		Memory() hwsim.MemoryMap
-	}
-	lpmEngines := map[string]func() lpmEngine{
-		"MultiBitTrie": func() lpmEngine {
-			t, err := lpm.NewMultiBitTrie[lpm.V4](8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return t
-		},
-		"AM-Trie": func() lpmEngine {
-			t, err := lpm.NewVariableStrideTrie[lpm.V4](lpm.ChooseStrides(32, lens, 8))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return t
-		},
-		"BinarySearchTree": func() lpmEngine { return lpm.NewBST[lpm.V4]() },
-		"LeafPushedTrie":   func() lpmEngine { return lpm.NewLeafPushTrie[lpm.V4]() },
-	}
-	for name, mk := range lpmEngines {
-		name, mk := name, mk
-		b.Run("LPM/"+name, func(b *testing.B) {
-			eng := mk()
-			for i, p := range prefixes {
-				eng.Insert(p, label.Label(i))
-			}
-			var meter hwsim.Meter
-			var buf []label.Label
-			for _, k := range keys[:512] {
-				var c hwsim.Cost
-				buf, c = eng.Lookup(k, buf[:0])
-				meter.Charge(c)
-			}
-			b.ReportMetric(meter.CyclesPerOp(), "cycles/lookup")
-			b.ReportMetric(float64(eng.Memory().TotalBytes()), "bytes")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf, _ = eng.Lookup(keys[i%len(keys)], buf[:0])
-			}
-		})
-	}
-
-	var ranges []rule.PortRange
-	seenR := map[rule.PortRange]bool{}
-	for _, r := range w.set.Rules() {
-		for _, pr := range []rule.PortRange{r.SrcPort, r.DstPort} {
-			if !seenR[pr] {
-				seenR[pr] = true
-				ranges = append(ranges, pr)
-			}
-		}
-	}
-	rangeEngines := map[string]func() rangematch.Engine{
-		"RegisterBank": func() rangematch.Engine { return rangematch.NewRegisterBank(0) },
-		"SegmentTree":  func() rangematch.Engine { return rangematch.NewSegmentTree() },
-		"RangeTree":    func() rangematch.Engine { return rangematch.NewRangeTree() },
-	}
-	for name, mk := range rangeEngines {
-		name, mk := name, mk
-		b.Run("Range/"+name, func(b *testing.B) {
-			eng := mk()
-			for i, r := range ranges {
-				if _, err := eng.Insert(r, label.Label(i)); err != nil {
-					b.Fatalf("insert %v: %v", r, err)
-				}
-			}
-			var meter hwsim.Meter
-			var buf []label.Label
-			for _, h := range w.trace[:512] {
-				var c hwsim.Cost
-				buf, c = eng.Lookup(h.DstPort, buf[:0])
-				meter.Charge(c)
-			}
-			b.ReportMetric(meter.CyclesPerOp(), "cycles/lookup")
-			b.ReportMetric(float64(eng.Memory().TotalBytes()), "bytes")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf, _ = eng.Lookup(w.trace[i%len(w.trace)].DstPort, buf[:0])
-			}
-		})
-	}
-}
-
-// BenchmarkFig3 regenerates the ruleset update time figure: total clock
-// cycles to download each standard ruleset in MBT mode, BST mode, and the
-// original rule filter alone (two cycles per rule plus the hash pipeline
-// cycle).
-func BenchmarkFig3(b *testing.B) {
-	modes := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"MBT", core.Config{LPM: core.LPMMultiBitTrie}},
-		{"BST", core.Config{LPM: core.LPMBinarySearchTree}},
-	}
-	for _, fam := range ruleset.Families() {
-		for _, size := range ruleset.StandardSizes {
-			w := workload(b, fam, size, 64)
-			tuples := core.CompileSet(w.set)
-			for _, mode := range modes {
-				mode := mode
-				b.Run(fmt.Sprintf("%s/%s-%s", mode.name, fam, ruleset.SizeName(size)), func(b *testing.B) {
-					var cycles float64
-					for i := 0; i < b.N; i++ {
-						c, err := core.New[lpm.V4](mode.cfg, core.PrefixLens(w.set))
-						if err != nil {
-							b.Fatal(err)
-						}
-						cost, err := c.Build(tuples)
-						if err != nil {
-							b.Fatal(err)
-						}
-						cycles = float64(cost.Cycles)
-					}
-					b.ReportMetric(cycles, "cycles")
-					b.ReportMetric(cycles/float64(size), "cycles/rule")
-				})
-			}
-			b.Run(fmt.Sprintf("RuleFilterOnly/%s-%s", fam, ruleset.SizeName(size)), func(b *testing.B) {
-				// The original rule filter writes one hashed line per
-				// rule: two cycles per rule plus one for the final index
-				// calculation (Section IV.B).
-				for i := 0; i < b.N; i++ {
-					_ = tuples
-				}
-				b.ReportMetric(float64(2*size+1), "cycles")
-				b.ReportMetric(float64(2*size+1)/float64(size), "cycles/rule")
-			})
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates the lookup-time figure: modeled clock cycles
-// to stream packet header sets of increasing size through the pipeline in
-// MBT and BST modes (plus measured ns/op for the software path).
-func BenchmarkFig4(b *testing.B) {
-	w := workload(b, ruleset.ACL, 10000, 50000)
-	modes := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"MBT", core.Config{LPM: core.LPMMultiBitTrie}},
-		{"BST", core.Config{LPM: core.LPMBinarySearchTree}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		c, _, err := core.NewV4(mode.cfg, w.set)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm the stats so the pipeline model reflects this trace.
-		headers := make([]core.Header[lpm.V4], len(w.trace))
-		for i, h := range w.trace {
-			headers[i] = core.V4Header(h)
-		}
-		for _, h := range headers[:8192] {
-			c.Lookup(h)
-		}
-		for _, phs := range []int{1000, 5000, 10000, 50000} {
-			b.Run(fmt.Sprintf("%s/PHS-%s", mode.name, ruleset.SizeName(phs)), func(b *testing.B) {
-				b.ReportMetric(c.LookupCycles(phs), "cycles")
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Lookup(headers[i%phs])
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkThroughput regenerates the Section IV.D numbers: packets per
-// second and line rate at 200 MHz with 72-byte minimum frames, per LPM
-// mode, on ACL-10K.
-func BenchmarkThroughput(b *testing.B) {
-	w := workload(b, ruleset.ACL, 10000, 16384)
-	for _, mode := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"MBT", core.Config{LPM: core.LPMMultiBitTrie}},
-		{"BST", core.Config{LPM: core.LPMBinarySearchTree}},
-		{"AM-Trie", core.Config{LPM: core.LPMAMTrie}},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			c, _, err := core.NewV4(mode.cfg, w.set)
-			if err != nil {
-				b.Fatal(err)
-			}
-			headers := make([]core.Header[lpm.V4], len(w.trace))
-			for i, h := range w.trace {
-				headers[i] = core.V4Header(h)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Lookup(headers[i%len(headers)])
-			}
-			b.StopTimer()
-			tp := c.Throughput()
-			b.ReportMetric(tp.Mpps, "Mpps")
-			b.ReportMetric(tp.Gbps, "Gbps")
-			b.ReportMetric(tp.CyclesPerPacket, "cycles/pkt")
-		})
-	}
-}
-
-// BenchmarkFlowCacheZipf measures the flow-cache fast path on
-// Zipf-skewed traffic: the same skewed trace through a decomposition
-// engine bare and behind WithFlowCache. The cached/uncached ns/op ratio
-// is the satellite speedup the cache claims on real (skewed) traffic;
-// hit rate is reported as a metric.
-func BenchmarkFlowCacheZipf(b *testing.B) {
-	w := workload(b, ruleset.ACL, 1000, 4096)
-	// Resample the trace with Zipf-distributed flow popularity.
-	rng := rand.New(rand.NewSource(9))
-	z := rand.NewZipf(rng, 1.2, 1, uint64(len(w.trace)-1))
-	trace := make([]rule.Header, len(w.trace))
-	for i := range trace {
-		trace[i] = w.trace[z.Uint64()]
-	}
-	for _, tc := range []struct {
-		name  string
-		cache int
-	}{
-		{"uncached", 0},
-		{"cached-64k", 1 << 16},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			rs, err := rule.NewSet(w.set.Rules())
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := New(WithRules(rs), WithFlowCache(tc.cache))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, h := range trace[:1024] {
-				eng.Lookup(h)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Lookup(trace[i%len(trace)])
-			}
-			b.StopTimer()
-			if cs, ok := eng.(interface{ CacheStats() FlowCacheStats }); ok {
-				b.ReportMetric(cs.CacheStats().HitRate(), "hit-rate")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStride sweeps the MBT stride (DESIGN.md ablation 1):
-// lookup depth vs expansion memory.
+// BenchmarkAblationStride sweeps the MBT stride: lookup depth vs
+// expansion memory.
 func BenchmarkAblationStride(b *testing.B) {
 	w := workload(b, ruleset.ACL, 5000, 8192)
 	for _, stride := range []int{2, 4, 8, 16} {
@@ -417,8 +78,8 @@ func BenchmarkAblationStride(b *testing.B) {
 }
 
 // BenchmarkAblationULI compares the pruned ULI against exhaustive
-// combination (DESIGN.md ablation: Eq. 1 worst-case LCT vs the decision
-// controller's optimization).
+// combination: Eq. 1's worst-case LCT vs the decision controller's
+// optimization.
 func BenchmarkAblationULI(b *testing.B) {
 	w := workload(b, ruleset.FW, 5000, 8192)
 	for _, mode := range []struct {
@@ -453,7 +114,7 @@ func BenchmarkAblationULI(b *testing.B) {
 }
 
 // BenchmarkAblationRangeEngine compares the port engines inside the full
-// classifier across the range-heavy FW family (DESIGN.md ablation 4).
+// classifier across the range-heavy FW family.
 func BenchmarkAblationRangeEngine(b *testing.B) {
 	w := workload(b, ruleset.FW, 5000, 8192)
 	for _, mode := range []struct {
@@ -524,124 +185,4 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 			b.ReportMetric(float64(len(removed)), "rules-removed")
 		})
 	}
-}
-
-// BenchmarkLookupBatch measures the stage-fused vector batch path
-// (ACL-10K, decomposition): LookupBatchInto into a caller-owned slab
-// across burst sizes straddling the fusion threshold and the chunk
-// size, on the bare engine and behind the flow-cache and shard
-// compositions. The acceptance bar is ≥1.3x at burst 64+ over the
-// header-at-a-time path this kernel replaced, at 0 allocs/op on every
-// composition.
-func BenchmarkLookupBatch(b *testing.B) {
-	w := workload(b, ruleset.ACL, 10000, 4096)
-	compositions := []struct {
-		name string
-		opts []Option
-	}{
-		{"plain", nil},
-		{"cached-64k", []Option{WithFlowCache(1 << 16)}},
-		{"shards4", []Option{WithShards(4)}},
-	}
-	for _, c := range compositions {
-		eng, err := New(append([]Option{WithRules(w.set)}, c.opts...)...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, burst := range []int{1, 16, 64, 256} {
-			b.Run(fmt.Sprintf("%s/burst-%d", c.name, burst), func(b *testing.B) {
-				out := make([]Result, burst)
-				eng.LookupBatchInto(w.trace[:burst], out) // warm the pools
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i += burst {
-					off := i % (len(w.trace) - burst)
-					eng.LookupBatchInto(w.trace[off:off+burst], out)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLookupBytes measures the raw-frame ingress path on the
-// decomposition backend (ACL-10K): the acceptance bar is 0 allocs/op
-// and single-frame ns/op within 1.15x of the pre-parsed Lookup it
-// wraps. Parsed is that baseline; Raw decodes the Ethernet+IPv4 frame
-// in place per op, RawBatch64 amortizes the scatter over 64-frame
-// slabs, and Raw6/Parsed6 are the split-64 IPv6 twins on the embedded
-// ruleset.
-func BenchmarkLookupBytes(b *testing.B) {
-	w := workload(b, ruleset.ACL, 10000, 4096)
-	// Only TCP/UDP carry ports on the wire; zero the rest so frames
-	// round-trip to the headers the parsed baseline sees.
-	hdrs := make([]Header, len(w.trace))
-	frames := make([][]byte, len(w.trace))
-	for i, h := range w.trace {
-		if h.Proto != rule.ProtoTCP && h.Proto != rule.ProtoUDP {
-			h.SrcPort, h.DstPort = 0, 0
-		}
-		hdrs[i] = h
-		frames[i] = packet.BuildEthernet(packet.BuildIPv4(h))
-	}
-	eng, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Replace(w.set.Rules()); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("Parsed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.Lookup(hdrs[i%len(hdrs)])
-		}
-	})
-	b.Run("Raw", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.LookupBytes(frames[i%len(frames)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("RawBatch64", func(b *testing.B) {
-		const burst = 64
-		out := make([]Result, burst)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += burst {
-			off := i % (len(frames) - burst)
-			eng.LookupBytesBatch(frames[off:off+burst], out)
-		}
-	})
-
-	rules6 := ruleset.Embed6Set(w.set)
-	hdrs6 := make([]Header6, len(hdrs))
-	frames6 := make([][]byte, len(hdrs))
-	for i, h := range hdrs {
-		hdrs6[i] = ruleset.Embed6Header(h)
-		frames6[i] = packet.BuildEthernet6(hdrs6[i])
-	}
-	eng6, err := New6()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng6.Replace(rules6); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Parsed6", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng6.Lookup(hdrs6[i%len(hdrs6)])
-		}
-	})
-	b.Run("Raw6", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng6.LookupBytes(frames6[i%len(frames6)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

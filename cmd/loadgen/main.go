@@ -22,9 +22,8 @@
 // packets install flow state, the model's connection churn revisits both
 // directions of live flows (state hits), -flood interleaves one-shot
 // SYN-flood flows that install but never hit, and -swaps exercises
-// swap-while-connections-live invalidation. Conntrack runs emit
-// workload_conntrack records (with the achieved state hit rate) so
-// benchdiff gates the stateful path separately.
+// swap-while-connections-live invalidation. A stateful run prints the
+// flow-state installs, hits and hit rate under its row.
 //
 // The replay is open loop: every event carries a scheduled arrival
 // offset, N workers pace their lookup stripes against the wall clock,
@@ -38,17 +37,14 @@
 //
 // With -raw (in-process only) every lookup worker synthesizes its
 // headers into Ethernet+IPv4 frame slabs and classifies them through
-// LookupBytesBatch — the zero-allocation raw ingress path — emitting
-// workload_replay_raw records so benchdiff tracks the raw path
-// separately from the pre-parsed one.
+// LookupBytesBatch — the zero-allocation raw ingress path.
 //
-// Machine-readable records append to the -json file once per model as a
-// BENCH_workload.json array that cmd/benchdiff compares across runs, the
-// same trajectory-tracking contract as BENCH_lookup.json.
+// loadgen exits non-zero when any replayed operation failed. It records
+// no performance trajectory: that is the benchmark ledger's job
+// (go run ./benchmark).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -65,7 +61,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
@@ -102,12 +98,19 @@ type options struct {
 
 	addr  string
 	table string
-
-	jsonOut string
 }
 
-// run executes one loadgen invocation; split from main for testing.
-func run(args []string, out io.Writer) error {
+// outcome is one model's replay: its report and, when the in-process
+// engine tracks flow state, the state counters after the replay.
+type outcome struct {
+	model workload.Model
+	rep   *workload.Report
+	state *repro.FlowStateStats
+}
+
+// run executes one loadgen invocation and returns each model's outcome;
+// split from main for testing.
+func run(args []string, out io.Writer) ([]outcome, error) {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -136,10 +139,9 @@ func run(args []string, out io.Writer) error {
 		raw       = fs.Bool("raw", false, "replay lookups as synthesized Ethernet frames through LookupBytesBatch (in-process only)")
 		addr      = fs.String("addr", "", "replay against a live classifierd at this address instead of in-process")
 		table     = fs.String("table", "", "remote table to replay into (default: the connection default)")
-		jsonOut   = fs.String("json", "BENCH_workload.json", "machine-readable output file ('' disables)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	o := options{
 		events: *events, duration: *duration, seed: *seed,
@@ -148,125 +150,68 @@ func run(args []string, out io.Writer) error {
 		shifts: *shifts, workers: *workers, batch: *batch,
 		shards: *shards, flowCache: *flowCache, state: *state,
 		establish: *establish, flood: *flood, raw: *raw,
-		addr: *addr, table: *table, jsonOut: *jsonOut,
+		addr: *addr, table: *table,
 	}
 	if o.raw && o.addr != "" {
-		return fmt.Errorf("-raw replays in-process only; drop -addr")
+		return nil, fmt.Errorf("-raw replays in-process only; drop -addr")
 	}
 	if o.state != 0 && o.addr != "" {
-		return fmt.Errorf("-fwstate composes the in-process engine; drop -addr (create a stateful remote table instead)")
+		return nil, fmt.Errorf("-fwstate composes the in-process engine; drop -addr (create a stateful remote table instead)")
 	}
 	if o.establish < 0 || o.establish > 1 {
-		return fmt.Errorf("-establish %v, want [0,1]", o.establish)
+		return nil, fmt.Errorf("-establish %v, want [0,1]", o.establish)
 	}
 	var err error
 	if o.models, err = parseModels(*modelF); err != nil {
-		return err
+		return nil, err
 	}
 	if o.family, err = ruleset.ParseFamily(*familyF); err != nil {
-		return err
+		return nil, err
 	}
 	if o.backend, err = repro.ParseBackend(*backendF); err != nil {
-		return err
+		return nil, err
 	}
 	if o.workers < 1 {
 		o.workers = 1
 	}
 	if o.events < 1 {
-		return fmt.Errorf("-events %d, want >= 1", o.events)
+		return nil, fmt.Errorf("-events %d, want >= 1", o.events)
 	}
 
 	rs, err := loadRuleset(o)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if o.establish > 0 {
 		if rs, err = establishingRuleset(rs, o.establish); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	records := make([]Record, 0, len(o.models))
+	outcomes := make([]outcome, 0, len(o.models))
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "model\ttarget\tevents\telapsed\tev/s\tlookup p50\tp90\tp99\tp999\terrors")
 	opErrors := 0
 	for _, m := range o.models {
-		rec, err := runModel(o, m, rs, tw)
+		oc, err := runModel(o, m, rs, tw)
 		if err != nil {
-			return fmt.Errorf("model %s: %w", m, err)
+			return nil, fmt.Errorf("model %s: %w", m, err)
 		}
-		opErrors += rec.LookupErrors + rec.UpdateErrors
-		records = append(records, rec)
+		opErrors += oc.rep.TotalErrors()
+		outcomes = append(outcomes, oc)
 	}
 	tw.Flush()
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %d records to %s\n", len(records), o.jsonOut)
-	}
-	// Per-op failures are tallied in the records (and printed above), but
-	// a replay that errored is a failed run: CI smoke must go red, not
-	// rely on someone reading the error column.
+	// Per-op failures are printed in the error column, but a replay that
+	// errored is a failed run: CI smoke must go red, not rely on someone
+	// reading the column.
 	if opErrors > 0 {
-		return fmt.Errorf("replay finished with %d operation error(s); see the error columns above", opErrors)
+		return nil, fmt.Errorf("replay finished with %d operation error(s); see the error columns above", opErrors)
 	}
-	return nil
-}
-
-// Record is one machine-readable replay measurement — the
-// BENCH_workload.json schema cmd/benchdiff compares across runs.
-type Record struct {
-	Experiment   string  `json:"experiment"`
-	Model        string  `json:"model"`
-	Backend      string  `json:"backend"`
-	Family       string  `json:"family"`
-	Rules        int     `json:"rules"`
-	Events       int     `json:"events"`
-	Workers      int     `json:"workers"`
-	Batch        int     `json:"batch"`
-	Shards       int     `json:"shards"`
-	CacheEntries int     `json:"cache_entries,omitempty"`
-	StateEntries int     `json:"state_entries,omitempty"`
-	Zipf         float64 `json:"zipf,omitempty"`
-	UpdateRatio  float64 `json:"update_ratio,omitempty"`
-	Swaps        int     `json:"swaps,omitempty"`
-	FloodRatio   float64 `json:"flood_ratio,omitempty"`
-	Remote       bool    `json:"remote,omitempty"`
-
-	DurationSec  float64 `json:"duration_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Lookups      int     `json:"lookups"`
-	Updates      int     `json:"updates"`
-
-	// Latency quantiles are in nanoseconds. The lookup quantiles are
-	// deliberately NOT omitempty: a collapse to zero must stay a
-	// reportable regression, not an absent field (the same contract as
-	// lookupbench's cache_hit_rate).
-	LookupP50Ns  float64 `json:"lookup_p50_ns"`
-	LookupP90Ns  float64 `json:"lookup_p90_ns"`
-	LookupP99Ns  float64 `json:"lookup_p99_ns"`
-	LookupP999Ns float64 `json:"lookup_p999_ns"`
-	LookupMaxNs  float64 `json:"lookup_max_ns"`
-	UpdateP99Ns  float64 `json:"update_p99_ns,omitempty"`
-
-	// StateHitRate is the flow-state hit fraction a stateful in-process
-	// replay achieved (hits / (hits + misses)), 0 when stateless.
-	StateHitRate float64 `json:"state_hit_rate,omitempty"`
-	StateHits    uint64  `json:"state_hits,omitempty"`
-	StateInstall uint64  `json:"state_installs,omitempty"`
-
-	LookupErrors int    `json:"lookup_errors"`
-	UpdateErrors int    `json:"update_errors"`
-	Error        string `json:"error,omitempty"`
+	return outcomes, nil
 }
 
 // runModel generates one schedule and replays it against the configured
-// target, printing one summary row and returning the JSON record.
-func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writer) (Record, error) {
+// target, printing one summary row and returning its outcome.
+func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writer) (outcome, error) {
 	sched, err := workload.Generate(rs, workload.Config{
 		Model: m, Events: o.events, Duration: o.duration, Seed: o.seed,
 		ZipfSkew: o.zipf, HeaderPool: o.pool, UpdateRatio: o.update,
@@ -275,7 +220,7 @@ func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writ
 		FloodRatio: o.flood,
 	})
 	if err != nil {
-		return Record{}, err
+		return outcome{}, err
 	}
 	cfg := workload.ReplayConfig{Batch: o.batch}
 	target := "in-process"
@@ -292,12 +237,12 @@ func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writ
 		for i := 0; i < o.workers+1; i++ {
 			client, err := ctl.Dial(o.addr)
 			if err != nil {
-				return Record{}, err
+				return outcome{}, err
 			}
 			closers = append(closers, client)
 			if o.table != "" {
 				if err := client.TableUse(o.table); err != nil {
-					return Record{}, err
+					return outcome{}, err
 				}
 			}
 			t := workload.ClientTarget{C: client}
@@ -314,7 +259,7 @@ func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writ
 			repro.WithShards(o.shards), repro.WithFlowCache(o.flowCache),
 			repro.WithFlowState(o.state, 0))
 		if err != nil {
-			return Record{}, err
+			return outcome{}, err
 		}
 		t := workload.EngineTarget{Eng: eng}
 		if o.raw {
@@ -333,17 +278,9 @@ func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writ
 	}
 	rep, err := workload.Replay(sched, cfg)
 	if err != nil {
-		return Record{}, err
+		return outcome{}, err
 	}
-	rec := newRecord(o, m, rs.Len(), rep)
-	if ss, ok := eng.(interface{ StateStats() repro.FlowStateStats }); ok {
-		st := ss.StateStats()
-		rec.StateHits = st.Hits
-		rec.StateInstall = st.Installs
-		if total := st.Hits + st.Misses; total > 0 {
-			rec.StateHitRate = float64(st.Hits) / float64(total)
-		}
-	}
+	oc := outcome{model: m, rep: rep}
 	lk := rep.Ops[workload.OpLookup]
 	if lk == nil {
 		lk = &workload.OpStats{}
@@ -355,70 +292,13 @@ func runModel(o options, m workload.Model, rs *repro.RuleSet, tw *tabwriter.Writ
 	if rep.FirstError != nil {
 		fmt.Fprintf(tw, "\tfirst error: %v\n", rep.FirstError)
 	}
-	return rec, nil
-}
-
-// newRecord folds a replay report into the JSON record shape.
-func newRecord(o options, m workload.Model, rules int, rep *workload.Report) Record {
-	experiment := "workload_replay"
-	if o.raw {
-		// A distinct experiment name keeps raw-ingress records from being
-		// compared against pre-parsed baselines in benchdiff.
-		experiment = "workload_replay_raw"
+	if ss, ok := eng.(interface{ StateStats() repro.FlowStateStats }); ok {
+		st := ss.StateStats()
+		oc.state = &st
+		fmt.Fprintf(tw, "\tflow state: %d installs, %d hits, %.1f%% hit rate\n",
+			st.Installs, st.Hits, 100*st.HitRate())
 	}
-	if m == workload.ModelConntrack {
-		// The conntrack model's latency profile is dominated by the
-		// flow-state probe, so its records form their own trajectory.
-		experiment = "workload_conntrack"
-	}
-	rec := Record{
-		Experiment:  experiment,
-		Model:       m.String(),
-		Backend:     o.backend.String(),
-		Family:      strings.ToLower(o.family.String()),
-		Rules:       rules,
-		Events:      o.events,
-		Workers:     o.workers,
-		Batch:       o.batch,
-		Shards:      o.shards,
-		Zipf:        o.zipf,
-		UpdateRatio: o.update,
-		Swaps:       o.swaps,
-		FloodRatio:  o.flood,
-		Remote:      o.addr != "",
-
-		CacheEntries: o.flowCache,
-		StateEntries: o.state,
-		DurationSec:  rep.Elapsed.Seconds(),
-		EventsPerSec: rep.EventsPerSec(),
-	}
-	if rec.Remote {
-		rec.Backend = "remote"
-		rec.Shards = 0
-		rec.CacheEntries = 0
-		rec.StateEntries = 0
-	}
-	var updates workload.Histogram
-	for op, st := range rep.Ops {
-		if op == workload.OpLookup {
-			rec.Lookups = st.Count
-			rec.LookupErrors = st.Errors
-			rec.LookupP50Ns = float64(st.Latency.Quantile(0.50))
-			rec.LookupP90Ns = float64(st.Latency.Quantile(0.90))
-			rec.LookupP99Ns = float64(st.Latency.Quantile(0.99))
-			rec.LookupP999Ns = float64(st.Latency.Quantile(0.999))
-			rec.LookupMaxNs = float64(st.Latency.Max())
-			continue
-		}
-		rec.Updates += st.Count
-		rec.UpdateErrors += st.Errors
-		updates.Merge(&st.Latency)
-	}
-	rec.UpdateP99Ns = float64(updates.Quantile(0.99))
-	if rep.FirstError != nil {
-		rec.Error = rep.FirstError.Error()
-	}
-	return rec
+	return oc, nil
 }
 
 // parseModels decodes the -model flag: a comma-separated list or "all".

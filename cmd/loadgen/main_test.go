@@ -1,15 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	repro "repro"
 	"repro/internal/ctl"
+	"repro/internal/workload"
 )
 
 // startDaemon serves a fresh engine over TCP, as classifierd would.
@@ -35,71 +33,69 @@ func startDaemon(t *testing.T, opts ...repro.Option) string {
 	return l.Addr().String()
 }
 
-// loadRecords runs one loadgen invocation and decodes its JSON output.
-func loadRecords(t *testing.T, args ...string) []Record {
+// replay runs one loadgen invocation and returns its outcomes.
+func replay(t *testing.T, args ...string) []outcome {
 	t.Helper()
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_workload.json")
 	var b strings.Builder
-	if err := run(append(args, "-json", jsonPath), &b); err != nil {
+	ocs, err := run(args, &b)
+	if err != nil {
 		t.Fatalf("loadgen %v: %v\noutput:\n%s", args, err, b.String())
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatal(err)
-	}
-	return recs
+	return ocs
 }
 
-// checkRecord asserts the acceptance contract every loadgen run must
-// meet: non-zero latency quantiles and zero errors.
-func checkRecord(t *testing.T, rec Record) {
+// checkOutcome asserts the acceptance contract every loadgen run must
+// meet: lookups issued, non-zero latency quantiles, zero errors.
+func checkOutcome(t *testing.T, oc outcome) {
 	t.Helper()
-	want := "workload_replay"
-	if rec.Model == "conntrack" {
-		want = "workload_conntrack"
+	lk := oc.rep.Ops[workload.OpLookup]
+	if lk == nil || lk.Count == 0 {
+		t.Fatalf("%s: no lookups issued", oc.model)
 	}
-	if rec.Experiment != want {
-		t.Errorf("experiment = %q, want %q", rec.Experiment, want)
+	p50, p99 := lk.Latency.Quantile(0.50), lk.Latency.Quantile(0.99)
+	if p50 <= 0 || p99 <= 0 {
+		t.Errorf("%s: zero latency quantiles: p50=%v p99=%v", oc.model, p50, p99)
 	}
-	if rec.Lookups == 0 {
-		t.Errorf("%s: no lookups issued", rec.Model)
+	if p50 > p99 {
+		t.Errorf("%s: p50 %v above p99 %v", oc.model, p50, p99)
 	}
-	if rec.LookupP50Ns <= 0 || rec.LookupP99Ns <= 0 {
-		t.Errorf("%s: zero latency quantiles: p50=%v p99=%v", rec.Model, rec.LookupP50Ns, rec.LookupP99Ns)
+	if n := oc.rep.TotalErrors(); n != 0 || oc.rep.FirstError != nil {
+		t.Errorf("%s: %d errors, first %v", oc.model, n, oc.rep.FirstError)
 	}
-	if rec.LookupP50Ns > rec.LookupP99Ns {
-		t.Errorf("%s: p50 %v above p99 %v", rec.Model, rec.LookupP50Ns, rec.LookupP99Ns)
+	if oc.rep.EventsPerSec() <= 0 || oc.rep.Elapsed <= 0 {
+		t.Errorf("%s: bad throughput: %v ev/s over %v", oc.model, oc.rep.EventsPerSec(), oc.rep.Elapsed)
 	}
-	if rec.LookupErrors != 0 || rec.UpdateErrors != 0 || rec.Error != "" {
-		t.Errorf("%s: errors: lookup=%d update=%d err=%q", rec.Model, rec.LookupErrors, rec.UpdateErrors, rec.Error)
+}
+
+// updates counts the non-lookup operations a replay applied.
+func updates(rep *workload.Report) int {
+	n := 0
+	for op, st := range rep.Ops {
+		if op != workload.OpLookup {
+			n += st.Count
+		}
 	}
-	if rec.EventsPerSec <= 0 || rec.DurationSec <= 0 {
-		t.Errorf("%s: bad throughput: %v ev/s over %vs", rec.Model, rec.EventsPerSec, rec.DurationSec)
-	}
+	return n
 }
 
 // TestInProcessAllModels is the in-process acceptance path: every
 // traffic model replayed against the default engine with updates and
 // swaps, all producing non-zero latency quantiles and zero errors.
 func TestInProcessAllModels(t *testing.T) {
-	recs := loadRecords(t, "-model", "all", "-events", "3000", "-duration", "250ms",
+	ocs := replay(t, "-model", "all", "-events", "3000", "-duration", "250ms",
 		"-size", "150", "-workers", "2")
-	if len(recs) != 5 {
-		t.Fatalf("%d records, want 5", len(recs))
+	if len(ocs) != 5 {
+		t.Fatalf("%d outcomes, want 5", len(ocs))
 	}
-	seen := map[string]bool{}
-	for _, rec := range recs {
-		checkRecord(t, rec)
-		seen[rec.Model] = true
-		if rec.Remote {
-			t.Errorf("%s: marked remote", rec.Model)
+	seen := map[workload.Model]bool{}
+	for _, oc := range ocs {
+		checkOutcome(t, oc)
+		seen[oc.model] = true
+		if updates(oc.rep) == 0 {
+			t.Errorf("%s: no updates issued", oc.model)
 		}
-		if rec.Updates == 0 {
-			t.Errorf("%s: no updates issued", rec.Model)
+		if oc.state != nil {
+			t.Errorf("%s: stateless engine reported flow state", oc.model)
 		}
 	}
 	if len(seen) != 5 {
@@ -110,46 +106,47 @@ func TestInProcessAllModels(t *testing.T) {
 // TestInProcessComposition exercises a sharded, flow-cached non-default
 // backend.
 func TestInProcessComposition(t *testing.T) {
-	recs := loadRecords(t, "-model", "zipf", "-events", "2000", "-duration", "150ms",
+	ocs := replay(t, "-model", "zipf", "-events", "2000", "-duration", "150ms",
 		"-size", "120", "-backend", "tss", "-shards", "2", "-flowcache", "4096")
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
+	if len(ocs) != 1 {
+		t.Fatalf("%d outcomes", len(ocs))
 	}
-	checkRecord(t, recs[0])
-	if recs[0].Backend != "TSS" || recs[0].Shards != 2 || recs[0].CacheEntries != 4096 {
-		t.Fatalf("composition not recorded: %+v", recs[0])
-	}
+	checkOutcome(t, ocs[0])
 }
 
 // TestConntrackScenario is the stateful acceptance path: the conntrack
 // model against a flow-state composition whose ruleset establishes
-// flows, so the replay must install state, hit on reverse traffic and
-// record its own benchdiff trajectory.
+// flows, so the replay must install state and hit on reverse traffic.
 func TestConntrackScenario(t *testing.T) {
-	recs := loadRecords(t, "-model", "conntrack", "-events", "4000", "-duration", "250ms",
+	var out strings.Builder
+	ocs, err := run([]string{"-model", "conntrack", "-events", "4000", "-duration", "250ms",
 		"-size", "150", "-fwstate", "65536", "-establish", "0.5", "-flood", "0.1",
-		"-update-ratio", "0", "-swaps", "0", "-workers", "2")
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
+		"-update-ratio", "0", "-swaps", "0", "-workers", "2"}, &out)
+	if err != nil {
+		t.Fatalf("loadgen: %v\noutput:\n%s", err, out.String())
 	}
-	rec := recs[0]
-	checkRecord(t, rec)
-	if rec.Experiment != "workload_conntrack" {
-		t.Fatalf("experiment = %q", rec.Experiment)
+	if len(ocs) != 1 {
+		t.Fatalf("%d outcomes", len(ocs))
 	}
-	if rec.StateEntries != 65536 || rec.FloodRatio != 0.1 {
-		t.Fatalf("composition not recorded: %+v", rec)
+	oc := ocs[0]
+	checkOutcome(t, oc)
+	if oc.model != workload.ModelConntrack {
+		t.Fatalf("model = %v", oc.model)
+	}
+	st := oc.state
+	if st == nil {
+		t.Fatal("stateful replay reported no flow state")
 	}
 	// Half the rules establish and the model revisits both directions of
 	// live connections, so the replay must both install and hit state.
-	if rec.StateInstall == 0 {
-		t.Fatalf("stateful replay installed no flows: %+v", rec)
+	if st.Installs == 0 {
+		t.Fatalf("stateful replay installed no flows: %+v", *st)
 	}
-	if rec.StateHits == 0 || rec.StateHitRate <= 0 {
-		t.Fatalf("stateful replay never hit flow state: %+v", rec)
+	if st.Hits == 0 || st.HitRate() <= 0 || st.HitRate() > 1 {
+		t.Fatalf("stateful replay hit rate out of range: %+v", *st)
 	}
-	if rec.StateHitRate > 1 {
-		t.Fatalf("state hit rate %v out of range", rec.StateHitRate)
+	if !strings.Contains(out.String(), "flow state:") {
+		t.Errorf("flow-state counters not printed:\n%s", out.String())
 	}
 }
 
@@ -157,17 +154,13 @@ func TestConntrackScenario(t *testing.T) {
 // a live daemon with the locality-shift model.
 func TestRemoteShift(t *testing.T) {
 	addr := startDaemon(t)
-	recs := loadRecords(t, "-addr", addr, "-model", "shift", "-events", "2000",
+	ocs := replay(t, "-addr", addr, "-model", "shift", "-events", "2000",
 		"-duration", "250ms", "-size", "120", "-workers", "3", "-batch", "16")
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
+	if len(ocs) != 1 {
+		t.Fatalf("%d outcomes", len(ocs))
 	}
-	rec := recs[0]
-	checkRecord(t, rec)
-	if !rec.Remote || rec.Backend != "remote" {
-		t.Fatalf("record not marked remote: %+v", rec)
-	}
-	if rec.Updates == 0 {
+	checkOutcome(t, ocs[0])
+	if updates(ocs[0].rep) == 0 {
 		t.Fatalf("no updates replayed remotely")
 	}
 }
@@ -185,7 +178,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-fwstate", "1024", "-addr", "127.0.0.1:1"},
 		{"-establish", "1.5"},
 	} {
-		if err := run(append(args, "-json", ""), &b); err == nil {
+		if _, err := run(args, &b); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
 	}

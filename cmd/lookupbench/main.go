@@ -9,62 +9,28 @@
 //	lookupbench -all
 //	lookupbench -table1 -sizes 1000,10000
 //	lookupbench -fig3 -fig4 -throughput
-//	lookupbench -engines -parallel 8 -batch 64 -shards 1,4 -json BENCH_lookup.json
-//	lookupbench -engines -zipf 1.2 -flowcache 65536
-//	lookupbench -engines -burst 1,16,64,256
-//	lookupbench -engines -fwstate 65536
 //
-// The -engines experiment drives every backend through the public Engine
-// API with parallel batched lookups (concurrent goroutines sharing one
-// engine, exercising the RCU read path) at each -shards replica count,
-// so the emitted records compare the sharded serving path against the
-// unsharded baseline. With -zipf s > 1 it additionally replays a
-// Zipf-skewed trace (flow popularity drawn from a Zipf(s) distribution,
-// the shape of real traffic) against each backend twice — once bare and
-// once behind repro.WithFlowCache(-flowcache slots) — emitting
-// cached-vs-uncached records with the measured cache hit rate. With
-// -burst it additionally sweeps the decomposition backend's stage-fused
-// vector kernel across the given burst sizes through the
-// allocation-free LookupBatchInto entry point, emitting
-// engine_burst_lookup records so the burst-size curve is part of the
-// tracked trajectory. With -fwstate it additionally replays a
-// bidirectional trace (every header followed by its reverse) against an
-// establishing ruleset on each backend twice — stateless and behind
-// repro.WithFlowState(-fwstate slots) — emitting engine_state_lookup
-// records with the measured flow-state hit rate, the conntrack scenario
-// where reverse packets are admitted by installed flow entries instead
-// of the classifier.
-//
-// The -raw experiment drives the zero-allocation raw-frame ingress
-// path: synthesized Ethernet frames stream through LookupBytesBatch on
-// every backend at each -shards count, plus the split-64 IPv6 engine on
-// the embedded ruleset (family "acl-v6"), emitting engine_raw_lookup
-// records alongside the -engines ones.
-// Machine-readable records go to the -json file — one file per run;
-// archive the files across revisions (CI uploads the file as an
-// artifact) to record the performance trajectory.
+// Table I prints measured wall-clock ns per lookup; every other table is
+// modeled cycles and modeled memory, so its output is a pure function of
+// -sizes, -trace and -seed. Performance of the served engine is measured
+// by the benchmark ledger (go run ./benchmark), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
-	repro "repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hwsim"
 	"repro/internal/label"
 	"repro/internal/lpm"
-	"repro/internal/packet"
 	"repro/internal/rangematch"
 	"repro/internal/rule"
 	"repro/internal/ruleset"
@@ -77,26 +43,16 @@ func main() {
 		fig3       = flag.Bool("fig3", false, "run the Fig. 3 update-time experiment")
 		fig4       = flag.Bool("fig4", false, "run the Fig. 4 lookup-time experiment")
 		throughput = flag.Bool("throughput", false, "run the Section IV.D throughput experiment")
-		engines    = flag.Bool("engines", false, "run the Engine API parallel-lookup benchmark")
-		raw        = flag.Bool("raw", false, "run the raw-frame LookupBytesBatch benchmark (IPv4 and IPv6)")
 		all        = flag.Bool("all", false, "run everything")
 		sizesFlag  = flag.String("sizes", "1000,5000,10000", "comma-separated ruleset sizes")
 		traceN     = flag.Int("trace", 20000, "packet header set size for lookup experiments")
 		seed       = flag.Int64("seed", 1, "generation seed")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent lookup goroutines for -engines")
-		batch      = flag.Int("batch", 64, "LookupBatch size for -engines (1 = single-lookup path)")
-		shardsFlag = flag.String("shards", "1,4", "comma-separated shard counts for -engines (1 = unsharded)")
-		burstFlag  = flag.String("burst", "", "comma-separated burst sizes for the -engines stage-fused sweep ('' disables)")
-		zipfS      = flag.Float64("zipf", 1.2, "Zipf skew s for the -engines flow-cache experiment (> 1; 0 disables)")
-		cacheSize  = flag.Int("flowcache", 1<<16, "flow-cache slots for the -zipf experiment")
-		stateSize  = flag.Int("fwstate", 0, "flow-state slots for the -engines stateful experiment (0 disables)")
-		jsonOut    = flag.String("json", "BENCH_lookup.json", "machine-readable output file for -engines ('' disables)")
 	)
 	flag.Parse()
 	if *all {
-		*table1, *table2, *fig3, *fig4, *throughput, *engines, *raw = true, true, true, true, true, true, true
+		*table1, *table2, *fig3, *fig4, *throughput = true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig3 && !*fig4 && !*throughput && !*engines && !*raw {
+	if !*table1 && !*table2 && !*fig3 && !*fig4 && !*throughput {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -105,43 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lookupbench:", err)
 		os.Exit(2)
 	}
-	if *parallel < 1 {
-		*parallel = 1
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-	shardCounts, err := parseSizes(*shardsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lookupbench: -shards:", err)
-		os.Exit(2)
-	}
-	var burstSizes []int
-	if *burstFlag != "" {
-		burstSizes, err = parseSizes(*burstFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lookupbench: -burst:", err)
-			os.Exit(2)
-		}
-	}
-	if *zipfS != 0 && *zipfS <= 1 {
-		fmt.Fprintln(os.Stderr, "lookupbench: -zipf wants s > 1 (or 0 to disable)")
-		os.Exit(2)
-	}
-	if *zipfS > 1 && *cacheSize <= 0 {
-		fmt.Fprintln(os.Stderr, "lookupbench: -flowcache wants a positive slot count for the -zipf experiment")
-		os.Exit(2)
-	}
-	if *stateSize < 0 {
-		fmt.Fprintln(os.Stderr, "lookupbench: -fwstate wants a non-negative slot count")
-		os.Exit(2)
-	}
-	r := runner{
-		sizes: sizes, traceN: *traceN, seed: *seed,
-		parallel: *parallel, batch: *batch, shards: shardCounts,
-		burst: burstSizes, zipf: *zipfS, flowCache: *cacheSize,
-		fwState: *stateSize,
-	}
+	r := runner{w: os.Stdout, sizes: sizes, traceN: *traceN, seed: *seed}
 	if *table1 {
 		r.tableI()
 	}
@@ -157,31 +77,6 @@ func main() {
 	if *throughput {
 		r.throughput()
 	}
-	if *engines || *raw {
-		var records []BenchRecord
-		if *engines {
-			records = r.engines()
-			if len(r.burst) > 0 {
-				records = append(records, r.burstSweep()...)
-			}
-			if r.zipf > 1 {
-				records = append(records, r.zipfCache()...)
-			}
-			if r.fwState > 0 {
-				records = append(records, r.stateLookup()...)
-			}
-		}
-		if *raw {
-			records = append(records, r.rawLookup()...)
-		}
-		if *jsonOut != "" {
-			if err := writeBenchJSON(*jsonOut, records); err != nil {
-				fmt.Fprintln(os.Stderr, "lookupbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records to %s\n", len(records), *jsonOut)
-		}
-	}
 }
 
 func parseSizes(s string) ([]int, error) {
@@ -196,17 +91,12 @@ func parseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
+// runner prints the experiments to w.
 type runner struct {
-	sizes     []int
-	traceN    int
-	seed      int64
-	parallel  int
-	batch     int
-	shards    []int
-	burst     []int
-	zipf      float64
-	flowCache int
-	fwState   int
+	w      io.Writer
+	sizes  []int
+	traceN int
+	seed   int64
 }
 
 func (r runner) workload(fam ruleset.Family, size int) (*rule.Set, []rule.Header) {
@@ -223,14 +113,14 @@ func (r runner) workload(fam ruleset.Family, size int) (*rule.Set, []rule.Header
 	return s, trace
 }
 
-func newTab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func (r runner) newTab() *tabwriter.Writer {
+	return tabwriter.NewWriter(r.w, 2, 4, 2, ' ', 0)
 }
 
 // tableI measures every baseline plus this work on each family/size.
 func (r runner) tableI() {
-	fmt.Println("== Table I: multi-dimensional lookup algorithms (measured) ==")
-	tw := newTab()
+	fmt.Fprintln(r.w, "== Table I: multi-dimensional lookup algorithms (measured) ==")
+	tw := r.newTab()
 	fmt.Fprintln(tw, "algorithm\truleset\tbuild\tns/lookup\tmemory\tincremental")
 	for _, fam := range ruleset.Families() {
 		for _, size := range r.sizes {
@@ -276,14 +166,14 @@ func (r runner) tableI() {
 		}
 	}
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(r.w)
 }
 
 // tableII compares the single-field engines on the largest configured
 // ruleset's field populations.
 func (r runner) tableII() {
 	size := r.sizes[len(r.sizes)-1]
-	fmt.Printf("== Table II: single-field lookup engines (ACL-%s populations) ==\n", ruleset.SizeName(size))
+	fmt.Fprintf(r.w, "== Table II: single-field lookup engines (ACL-%s populations) ==\n", ruleset.SizeName(size))
 	set, trace := r.workload(ruleset.ACL, size)
 
 	var prefixes []lpm.Prefix[lpm.V4]
@@ -299,7 +189,7 @@ func (r runner) tableII() {
 			}
 		}
 	}
-	tw := newTab()
+	tw := r.newTab()
 	fmt.Fprintln(tw, "engine\tlabel method\tcycles/lookup\tmemory\tentries")
 
 	type lpmEngine interface {
@@ -361,14 +251,14 @@ func (r runner) tableII() {
 	runRange("Segment tree", true, rangematch.NewSegmentTree())
 	runRange("Range tree", false, rangematch.NewRangeTree())
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(r.w)
 }
 
 // fig3 prints update cycles per ruleset for MBT mode, BST mode and the
 // original rule filter.
 func (r runner) fig3() {
-	fmt.Println("== Fig. 3: ruleset update time (clock cycles) ==")
-	tw := newTab()
+	fmt.Fprintln(r.w, "== Fig. 3: ruleset update time (clock cycles) ==")
+	tw := r.newTab()
 	fmt.Fprintln(tw, "ruleset\tMBT mode\tBST mode\toriginal rule filter")
 	for _, fam := range ruleset.Families() {
 		for _, size := range r.sizes {
@@ -388,16 +278,16 @@ func (r runner) fig3() {
 		}
 	}
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(r.w)
 }
 
 // fig4 prints modeled lookup cycles against PHS size for both LPM modes.
 func (r runner) fig4() {
-	fmt.Println("== Fig. 4: lookup time vs packet header set size (clock cycles) ==")
+	fmt.Fprintln(r.w, "== Fig. 4: lookup time vs packet header set size (clock cycles) ==")
 	size := r.sizes[len(r.sizes)-1]
 	set, trace := r.workload(ruleset.ACL, size)
 	phsSizes := []int{1000, 2000, 5000, 10000, 20000}
-	tw := newTab()
+	tw := r.newTab()
 	header := "PHS size"
 	for _, mode := range []string{"MBT", "BST"} {
 		header += "\t" + mode
@@ -422,15 +312,15 @@ func (r runner) fig4() {
 		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.1fx\n", phs, mbt, bst, bst/mbt)
 	}
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(r.w)
 }
 
 // throughput prints the Section IV.D figures.
 func (r runner) throughput() {
 	size := r.sizes[len(r.sizes)-1]
-	fmt.Printf("== Section IV.D: throughput at 200 MHz, 72 B min frames (ACL-%s) ==\n", ruleset.SizeName(size))
+	fmt.Fprintf(r.w, "== Section IV.D: throughput at 200 MHz, 72 B min frames (ACL-%s) ==\n", ruleset.SizeName(size))
 	set, trace := r.workload(ruleset.ACL, size)
-	tw := newTab()
+	tw := r.newTab()
 	fmt.Fprintln(tw, "mode\tcycles/packet\tMpps\tGbps\tmemory")
 	for _, mode := range []struct {
 		name string
@@ -450,525 +340,7 @@ func (r runner) throughput() {
 			mode.name, tp.CyclesPerPacket, tp.Mpps, tp.Gbps, fmtBytes(c.Memory().TotalBytes()))
 	}
 	tw.Flush()
-	fmt.Println()
-}
-
-// BenchRecord is one machine-readable measurement emitted to the -json
-// file; schema consumers key on experiment + backend + family + rules.
-type BenchRecord struct {
-	Experiment     string  `json:"experiment"`
-	Backend        string  `json:"backend"`
-	Family         string  `json:"family"`
-	Rules          int     `json:"rules"`
-	TraceLen       int     `json:"trace_len"`
-	Parallel       int     `json:"parallel"`
-	Batch          int     `json:"batch"`
-	Shards         int     `json:"shards"`
-	NsPerLookup    float64 `json:"ns_per_lookup"`
-	MLookupsPerSec float64 `json:"mlookups_per_sec"`
-	MemoryBytes    int     `json:"memory_bytes"`
-	Incremental    bool    `json:"incremental"`
-	// Zipf experiment fields: the skew parameter of the trace, the
-	// flow-cache slot count (0 = uncached record) and the measured
-	// cache hit rate. CacheHitRate is deliberately NOT omitempty: a
-	// cached record whose hit rate collapsed to exactly 0 must still
-	// carry the measurement, or the benchdiff hit-rate gate could not
-	// tell a total collapse from an uncached record.
-	Zipf         float64 `json:"zipf,omitempty"`
-	CacheEntries int     `json:"cache_entries,omitempty"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Flow-state experiment fields: the state slot count (0 = stateless
-	// record) and the measured flow-state hit rate. StateHitRate follows
-	// the CacheHitRate contract — NOT omitempty, so a collapse to exactly
-	// 0 on a stateful record stays a reportable measurement.
-	StateEntries int     `json:"state_entries,omitempty"`
-	StateHitRate float64 `json:"state_hit_rate"`
-	Error        string  `json:"error,omitempty"`
-}
-
-// engines measures every backend through the public Engine API at each
-// configured shard count: the -parallel goroutines share one engine and
-// stream the trace through LookupBatch, exercising the RCU snapshot
-// read path (one snapshot pair per shard replica) the way a multi-core
-// packet pipeline would. Emitting shards=1 alongside higher counts
-// gives the sharded-vs-unsharded comparison in one artifact.
-func (r runner) engines() []BenchRecord {
-	shardCounts := r.shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1}
-	}
-	fmt.Printf("== Engine API: parallel batched lookups (%d goroutines, batch %d, shards %v) ==\n",
-		r.parallel, r.batch, shardCounts)
-	tw := newTab()
-	fmt.Fprintln(tw, "backend\truleset\tshards\tns/lookup\tMlookups/s\tmemory\tincremental")
-	var records []BenchRecord
-	for _, size := range r.sizes {
-		set, trace := r.workload(ruleset.ACL, size)
-		name := fmt.Sprintf("acl-%s", ruleset.SizeName(size))
-		for _, b := range repro.Backends() {
-			for _, shards := range shardCounts {
-				rec := BenchRecord{
-					Experiment: "engine_parallel_lookup",
-					Backend:    b.String(),
-					Family:     "acl",
-					Rules:      set.Len(),
-					TraceLen:   len(trace),
-					Parallel:   r.parallel,
-					Batch:      r.batch,
-					Shards:     shards,
-				}
-				eng, err := repro.New(repro.WithBackend(b), repro.WithRules(set), repro.WithShards(shards))
-				if err != nil {
-					rec.Error = err.Error()
-					records = append(records, rec)
-					fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t-\t-\t-\n", b, name, shards, err)
-					continue
-				}
-				nsPerOp, mlps := r.measureParallel(eng, trace)
-				rec.NsPerLookup = nsPerOp
-				rec.MLookupsPerSec = mlps
-				rec.MemoryBytes = eng.Memory().TotalBytes()
-				rec.Incremental = eng.IncrementalUpdate()
-				records = append(records, rec)
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.2f\t%s\t%v\n",
-					b, name, shards, nsPerOp, mlps, fmtBytes(rec.MemoryBytes), rec.Incremental)
-			}
-		}
-	}
-	tw.Flush()
-	fmt.Println()
-	return records
-}
-
-// burstSweep measures the stage-fused vector kernel's burst-size
-// curve: the decomposition backend classifies the trace through the
-// allocation-free LookupBatchInto entry point at each -burst size, so
-// the fused-versus-header-at-a-time crossover (fusion kicks in at
-// bursts >= 4) is a tracked artifact rather than a one-off benchmark.
-func (r runner) burstSweep() []BenchRecord {
-	fmt.Printf("== Engine API: stage-fused burst sweep (%d goroutines, bursts %v) ==\n",
-		r.parallel, r.burst)
-	tw := newTab()
-	fmt.Fprintln(tw, "backend\truleset\tburst\tns/lookup\tMlookups/s")
-	var records []BenchRecord
-	b := repro.BackendDecomposition
-	for _, size := range r.sizes {
-		set, trace := r.workload(ruleset.ACL, size)
-		name := fmt.Sprintf("acl-%s", ruleset.SizeName(size))
-		for _, burst := range r.burst {
-			rec := BenchRecord{
-				Experiment: "engine_burst_lookup",
-				Backend:    b.String(),
-				Family:     "acl",
-				Rules:      set.Len(),
-				TraceLen:   len(trace),
-				Parallel:   r.parallel,
-				Batch:      burst,
-				Shards:     1,
-			}
-			eng, err := repro.New(repro.WithBackend(b), repro.WithRules(set))
-			if err != nil {
-				rec.Error = err.Error()
-				records = append(records, rec)
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t-\n", b, name, burst, err)
-				continue
-			}
-			nsPerOp, mlps := r.measureBurst(eng, trace, burst)
-			rec.NsPerLookup = nsPerOp
-			rec.MLookupsPerSec = mlps
-			rec.MemoryBytes = eng.Memory().TotalBytes()
-			rec.Incremental = eng.IncrementalUpdate()
-			records = append(records, rec)
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.2f\n", b, name, burst, nsPerOp, mlps)
-		}
-	}
-	tw.Flush()
-	fmt.Println()
-	return records
-}
-
-// measureBurst streams the trace through LookupBatchInto at the given
-// burst size from r.parallel goroutines, each with a preallocated
-// result slab, and returns wall-clock ns per lookup and aggregate
-// Mlookups/s.
-func (r runner) measureBurst(eng repro.Engine, trace []rule.Header, burst int) (nsPerOp, mlps float64) {
-	workers := r.parallel // clamped to >= 1 at flag parsing
-	run := func() time.Duration {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out := make([]repro.Result, burst)
-				for off := 0; off < len(trace); off += burst {
-					end := off + burst
-					if end > len(trace) {
-						end = len(trace)
-					}
-					eng.LookupBatchInto(trace[off:end], out[:end-off])
-				}
-			}()
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	run() // warm up pools and lazy tables
-	elapsed := run()
-	lookups := workers * len(trace)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(lookups)
-	mlps = float64(lookups) / elapsed.Seconds() / 1e6
-	return nsPerOp, mlps
-}
-
-// zipfTrace resamples the base trace with Zipf(s)-distributed flow
-// popularity: index 0 is the hottest flow, matching the skewed flow
-// popularity of production traffic that exact-match caches exploit.
-func (r runner) zipfTrace(base []rule.Header, n int) []rule.Header {
-	rng := rand.New(rand.NewSource(r.seed + 7))
-	z := rand.NewZipf(rng, r.zipf, 1, uint64(len(base)-1))
-	out := make([]rule.Header, n)
-	for i := range out {
-		out[i] = base[z.Uint64()]
-	}
-	return out
-}
-
-// zipfCache measures every backend on the Zipf-skewed trace twice: bare
-// and behind a flow cache, reporting the cached path's hit rate — the
-// skewed-traffic scenario exact-match caches are judged on.
-func (r runner) zipfCache() []BenchRecord {
-	shardCounts := r.shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1}
-	}
-	fmt.Printf("== Engine API: Zipf(s=%.2f) skewed traffic, flow cache %d entries ==\n", r.zipf, r.flowCache)
-	tw := newTab()
-	fmt.Fprintln(tw, "backend\truleset\tshards\tcache\tns/lookup\tMlookups/s\thit rate")
-	var records []BenchRecord
-	for _, size := range r.sizes {
-		set, base := r.workload(ruleset.ACL, size)
-		trace := r.zipfTrace(base, len(base))
-		name := fmt.Sprintf("acl-%s", ruleset.SizeName(size))
-		for _, b := range repro.Backends() {
-			for _, shards := range shardCounts {
-				for _, cacheEntries := range []int{0, r.flowCache} {
-					rec := BenchRecord{
-						Experiment: "engine_zipf_lookup",
-						Backend:    b.String(),
-						Family:     "acl",
-						Rules:      set.Len(),
-						TraceLen:   len(trace),
-						Parallel:   r.parallel,
-						Batch:      r.batch,
-						Shards:     shards,
-						Zipf:       r.zipf,
-					}
-					eng, err := repro.New(repro.WithBackend(b), repro.WithRules(set),
-						repro.WithShards(shards), repro.WithFlowCache(cacheEntries))
-					if err != nil {
-						rec.Error = err.Error()
-						records = append(records, rec)
-						fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\t-\t-\n", b, name, shards, cacheEntries, err)
-						continue
-					}
-					nsPerOp, mlps := r.measureParallel(eng, trace)
-					rec.NsPerLookup = nsPerOp
-					rec.MLookupsPerSec = mlps
-					rec.MemoryBytes = eng.Memory().TotalBytes()
-					rec.Incremental = eng.IncrementalUpdate()
-					hitRate := "-"
-					if cs, ok := eng.(interface{ CacheStats() repro.FlowCacheStats }); ok {
-						rec.CacheEntries = cacheEntries
-						rec.CacheHitRate = cs.CacheStats().HitRate()
-						hitRate = fmt.Sprintf("%.1f%%", 100*rec.CacheHitRate)
-					}
-					records = append(records, rec)
-					fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.0f\t%.2f\t%s\n",
-						b, name, shards, cacheEntries, nsPerOp, mlps, hitRate)
-				}
-			}
-		}
-	}
-	tw.Flush()
-	fmt.Println()
-	return records
-}
-
-// establishSet returns a copy of the ruleset with every other rule's
-// action rewritten to allow-established, so forward matches install
-// flow state in the stateful experiment.
-func establishSet(set *rule.Set) *rule.Set {
-	src := set.Rules()
-	rules := make([]rule.Rule, len(src))
-	copy(rules, src)
-	for i := range rules {
-		if i%2 == 0 {
-			rules[i].Action = rule.ActionEstablish
-		}
-	}
-	out, err := rule.NewSet(rules)
-	exitOn(err)
-	return out
-}
-
-// bidiTrace interleaves each forward header with its reverse so the
-// replay revisits both directions of every flow — the traffic shape a
-// conntrack table is judged on.
-func bidiTrace(base []rule.Header) []rule.Header {
-	out := make([]rule.Header, 0, 2*len(base))
-	for _, h := range base {
-		rev := h
-		rev.SrcIP, rev.DstIP = h.DstIP, h.SrcIP
-		rev.SrcPort, rev.DstPort = h.DstPort, h.SrcPort
-		out = append(out, h, rev)
-	}
-	return out
-}
-
-// stateLookup measures every backend on the bidirectional trace twice:
-// stateless and behind the flow-state layer, reporting the stateful
-// path's hit rate. The warm-up pass inside measureParallel installs the
-// flow entries, so the measured pass serves established traffic — the
-// steady state of a conntrack firewall.
-func (r runner) stateLookup() []BenchRecord {
-	fmt.Printf("== Engine API: stateful flow tracking, %d slots, bidirectional trace ==\n", r.fwState)
-	tw := newTab()
-	fmt.Fprintln(tw, "backend\truleset\tstate\tns/lookup\tMlookups/s\thit rate")
-	var records []BenchRecord
-	for _, size := range r.sizes {
-		base, trace0 := r.workload(ruleset.ACL, size)
-		set := establishSet(base)
-		trace := bidiTrace(trace0)
-		name := fmt.Sprintf("acl-%s", ruleset.SizeName(size))
-		for _, b := range repro.Backends() {
-			for _, stateEntries := range []int{0, r.fwState} {
-				rec := BenchRecord{
-					Experiment: "engine_state_lookup",
-					Backend:    b.String(),
-					Family:     "acl",
-					Rules:      set.Len(),
-					TraceLen:   len(trace),
-					Parallel:   r.parallel,
-					Batch:      r.batch,
-					Shards:     1,
-				}
-				eng, err := repro.New(repro.WithBackend(b), repro.WithRules(set),
-					repro.WithFlowState(stateEntries, 0))
-				if err != nil {
-					rec.Error = err.Error()
-					records = append(records, rec)
-					fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t-\t-\n", b, name, stateEntries, err)
-					continue
-				}
-				nsPerOp, mlps := r.measureParallel(eng, trace)
-				rec.NsPerLookup = nsPerOp
-				rec.MLookupsPerSec = mlps
-				rec.MemoryBytes = eng.Memory().TotalBytes()
-				rec.Incremental = eng.IncrementalUpdate()
-				hitRate := "-"
-				if ss, ok := eng.(interface{ StateStats() repro.FlowStateStats }); ok {
-					rec.StateEntries = stateEntries
-					st := ss.StateStats()
-					if total := st.Hits + st.Misses; total > 0 {
-						rec.StateHitRate = float64(st.Hits) / float64(total)
-					}
-					hitRate = fmt.Sprintf("%.1f%%", 100*rec.StateHitRate)
-				}
-				records = append(records, rec)
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.2f\t%s\n",
-					b, name, stateEntries, nsPerOp, mlps, hitRate)
-			}
-		}
-	}
-	tw.Flush()
-	fmt.Println()
-	return records
-}
-
-// rawBatcher is the raw-frame burst entry point shared by repro.Engine
-// and *repro.Classifier6.
-type rawBatcher interface {
-	LookupBytesBatch(frames [][]byte, out []repro.Result) int
-}
-
-// rawFrames synthesizes one Ethernet frame per trace header. Only
-// TCP/UDP carry port bytes on the wire, so other protocols have their
-// ports zeroed first — the headers the decoder recovers are then
-// byte-identical to what the parsed path would see.
-func rawFrames(trace []rule.Header) [][]byte {
-	frames := make([][]byte, len(trace))
-	for i, h := range trace {
-		if h.Proto != rule.ProtoTCP && h.Proto != rule.ProtoUDP {
-			h.SrcPort, h.DstPort = 0, 0
-		}
-		frames[i] = packet.BuildEthernet(packet.BuildIPv4(h))
-	}
-	return frames
-}
-
-// rawLookup measures the raw-frame ingress path: frames stream through
-// LookupBytesBatch from r.parallel goroutines on every backend at each
-// shard count, plus the split-64 IPv6 engine on the embedded ruleset.
-func (r runner) rawLookup() []BenchRecord {
-	shardCounts := r.shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1}
-	}
-	fmt.Printf("== Engine API: raw-frame burst ingestion (%d goroutines, batch %d, shards %v) ==\n",
-		r.parallel, r.batch, shardCounts)
-	tw := newTab()
-	fmt.Fprintln(tw, "backend\truleset\tshards\tns/lookup\tMlookups/s")
-	var records []BenchRecord
-	for _, size := range r.sizes {
-		set, trace := r.workload(ruleset.ACL, size)
-		frames := rawFrames(trace)
-		name := fmt.Sprintf("acl-%s", ruleset.SizeName(size))
-		for _, b := range repro.Backends() {
-			for _, shards := range shardCounts {
-				rec := BenchRecord{
-					Experiment: "engine_raw_lookup",
-					Backend:    b.String(),
-					Family:     "acl",
-					Rules:      set.Len(),
-					TraceLen:   len(trace),
-					Parallel:   r.parallel,
-					Batch:      r.batch,
-					Shards:     shards,
-				}
-				eng, err := repro.New(repro.WithBackend(b), repro.WithRules(set), repro.WithShards(shards))
-				if err != nil {
-					rec.Error = err.Error()
-					records = append(records, rec)
-					fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t-\n", b, name, shards, err)
-					continue
-				}
-				rec.NsPerLookup, rec.MLookupsPerSec = r.measureRaw(eng, frames)
-				rec.MemoryBytes = eng.Memory().TotalBytes()
-				rec.Incremental = eng.IncrementalUpdate()
-				records = append(records, rec)
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.2f\n",
-					b, name, shards, rec.NsPerLookup, rec.MLookupsPerSec)
-			}
-		}
-		// IPv6: the same ruleset and trace mapped through the verdict-
-		// preserving embedding, served by the split-64 decomposition.
-		rules6 := ruleset.Embed6Set(set)
-		frames6 := make([][]byte, len(trace))
-		for i, h := range trace {
-			if h.Proto != rule.ProtoTCP && h.Proto != rule.ProtoUDP {
-				h.SrcPort, h.DstPort = 0, 0
-			}
-			frames6[i] = packet.BuildEthernet6(ruleset.Embed6Header(h))
-		}
-		rec := BenchRecord{
-			Experiment: "engine_raw_lookup",
-			Backend:    repro.BackendDecomposition.String(),
-			Family:     "acl-v6",
-			Rules:      len(rules6),
-			TraceLen:   len(trace),
-			Parallel:   r.parallel,
-			Batch:      r.batch,
-			Shards:     1,
-		}
-		eng6, err := repro.New6()
-		if err == nil {
-			_, err = eng6.Replace(rules6)
-		}
-		if err != nil {
-			rec.Error = err.Error()
-			records = append(records, rec)
-			fmt.Fprintf(tw, "%s\t%s-v6\t%d\t%v\t-\n", repro.BackendDecomposition, name, 1, err)
-		} else {
-			rec.NsPerLookup, rec.MLookupsPerSec = r.measureRaw(eng6, frames6)
-			rec.MemoryBytes = eng6.Memory().TotalBytes()
-			rec.Incremental = true
-			records = append(records, rec)
-			fmt.Fprintf(tw, "%s\t%s-v6\t%d\t%.0f\t%.2f\n",
-				repro.BackendDecomposition, name, 1, rec.NsPerLookup, rec.MLookupsPerSec)
-		}
-	}
-	tw.Flush()
-	fmt.Println()
-	return records
-}
-
-// measureRaw streams the frame slab through LookupBytesBatch from
-// r.parallel goroutines and returns wall-clock ns per frame and
-// aggregate Mlookups/s.
-func (r runner) measureRaw(eng rawBatcher, frames [][]byte) (nsPerOp, mlps float64) {
-	batch, workers := r.batch, r.parallel // clamped to >= 1 at flag parsing
-	run := func() time.Duration {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out := make([]repro.Result, batch)
-				for off := 0; off < len(frames); off += batch {
-					end := off + batch
-					if end > len(frames) {
-						end = len(frames)
-					}
-					eng.LookupBytesBatch(frames[off:end], out[:end-off])
-				}
-			}()
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	run() // warm up pools, caches and lazy tables
-	elapsed := run()
-	lookups := workers * len(frames)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(lookups)
-	mlps = float64(lookups) / elapsed.Seconds() / 1e6
-	return nsPerOp, mlps
-}
-
-// measureParallel streams the trace through the engine from r.parallel
-// goroutines and returns wall-clock ns per lookup and aggregate
-// Mlookups/s.
-func (r runner) measureParallel(eng repro.Engine, trace []rule.Header) (nsPerOp, mlps float64) {
-	batch, workers := r.batch, r.parallel // clamped to >= 1 at flag parsing
-	run := func() time.Duration {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for off := 0; off < len(trace); off += batch {
-					end := off + batch
-					if end > len(trace) {
-						end = len(trace)
-					}
-					if batch == 1 {
-						eng.Lookup(trace[off])
-					} else {
-						eng.LookupBatch(trace[off:end])
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	run() // warm up caches and lazy tables
-	elapsed := run()
-	lookups := workers * len(trace)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(lookups)
-	mlps = float64(lookups) / elapsed.Seconds() / 1e6
-	return nsPerOp, mlps
-}
-
-// writeBenchJSON writes the records as one JSON array.
-func writeBenchJSON(path string, records []BenchRecord) error {
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	fmt.Fprintln(r.w)
 }
 
 func fmtBytes(n int) string {

@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"repro/internal/rule"
-)
+import "testing"
 
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("1000, 5000,10000")
@@ -30,145 +23,6 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
-// TestEnginesJSONRoundtrip runs the Engine benchmark at a tiny scale and
-// verifies the BENCH_lookup.json records parse back with every backend
-// present at both the unsharded and sharded replica counts.
-func TestEnginesJSONRoundtrip(t *testing.T) {
-	r := runner{sizes: []int{40}, traceN: 120, seed: 1, parallel: 2, batch: 16, shards: []int{1, 3}}
-	records := r.engines()
-	if len(records) == 0 {
-		t.Fatal("no records")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_lookup.json")
-	if err := writeBenchJSON(path, records); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []BenchRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(back) != len(records) {
-		t.Fatalf("roundtrip lost records: %d vs %d", len(back), len(records))
-	}
-	seen := map[string]bool{}
-	shardCounts := map[int]bool{}
-	for _, rec := range back {
-		seen[rec.Backend] = true
-		shardCounts[rec.Shards] = true
-		if rec.Error == "" && rec.MLookupsPerSec <= 0 {
-			t.Errorf("%s (shards %d): non-positive throughput", rec.Backend, rec.Shards)
-		}
-	}
-	if !seen["Decomposition"] || !seen["TSS"] {
-		t.Errorf("missing backends in %v", seen)
-	}
-	if !shardCounts[1] || !shardCounts[3] {
-		t.Errorf("missing shard counts in %v", shardCounts)
-	}
-}
-
-// TestZipfCacheRecords runs the skewed-traffic experiment at a tiny
-// scale and checks the cached-vs-uncached record pairing: every backend
-// emits one record with cache_entries=0 and one with the cache size,
-// zipf set on both, and a positive hit rate on the cached record (the
-// skewed trace repeats its hot flows within even a 120-header run).
-func TestZipfCacheRecords(t *testing.T) {
-	r := runner{sizes: []int{40}, traceN: 120, seed: 1, parallel: 2, batch: 16,
-		shards: []int{1}, zipf: 1.3, flowCache: 256}
-	records := r.zipfCache()
-	cached, uncached := map[string]BenchRecord{}, map[string]BenchRecord{}
-	for _, rec := range records {
-		if rec.Experiment != "engine_zipf_lookup" {
-			t.Fatalf("experiment = %q", rec.Experiment)
-		}
-		if rec.Zipf != 1.3 {
-			t.Fatalf("%s: zipf field = %v", rec.Backend, rec.Zipf)
-		}
-		if rec.CacheEntries > 0 {
-			cached[rec.Backend] = rec
-		} else {
-			uncached[rec.Backend] = rec
-		}
-	}
-	if len(cached) == 0 || len(cached) != len(uncached) {
-		t.Fatalf("unpaired records: %d cached, %d uncached", len(cached), len(uncached))
-	}
-	for b, rec := range cached {
-		if rec.Error != "" {
-			continue
-		}
-		if rec.CacheHitRate <= 0 || rec.CacheHitRate > 1 {
-			t.Errorf("%s: cache hit rate %v", b, rec.CacheHitRate)
-		}
-	}
-}
-
-// TestStateLookupRecords runs the stateful experiment at a tiny scale
-// and checks the stateless-vs-stateful record pairing: every backend
-// emits one record with state_entries=0 and one with the slot count,
-// and the stateful record measures a positive hit rate (the warm-up
-// pass installs the flows the measured pass then hits).
-func TestStateLookupRecords(t *testing.T) {
-	r := runner{sizes: []int{40}, traceN: 120, seed: 1, parallel: 2, batch: 16,
-		fwState: 1 << 14}
-	records := r.stateLookup()
-	stateful, stateless := map[string]BenchRecord{}, map[string]BenchRecord{}
-	for _, rec := range records {
-		if rec.Experiment != "engine_state_lookup" {
-			t.Fatalf("experiment = %q", rec.Experiment)
-		}
-		if rec.StateEntries > 0 {
-			stateful[rec.Backend] = rec
-		} else {
-			stateless[rec.Backend] = rec
-		}
-	}
-	if len(stateful) == 0 || len(stateful) != len(stateless) {
-		t.Fatalf("unpaired records: %d stateful, %d stateless", len(stateful), len(stateless))
-	}
-	for b, rec := range stateful {
-		if rec.Error != "" {
-			continue
-		}
-		if rec.StateHitRate <= 0 || rec.StateHitRate > 1 {
-			t.Errorf("%s: state hit rate %v", b, rec.StateHitRate)
-		}
-	}
-	for b, rec := range stateless {
-		if rec.StateHitRate != 0 {
-			t.Errorf("%s: stateless record carries hit rate %v", b, rec.StateHitRate)
-		}
-	}
-}
-
-// TestZipfTraceIsSkewed checks the resampler concentrates traffic: the
-// most popular header of the skewed trace must appear far more often
-// than a uniform draw would allow.
-func TestZipfTraceIsSkewed(t *testing.T) {
-	r := runner{seed: 1, zipf: 1.2}
-	base := make([]rule.Header, 1000)
-	for i := range base {
-		base[i] = rule.Header{SrcIP: uint32(i), DstIP: uint32(i)}
-	}
-	trace := r.zipfTrace(base, 5000)
-	counts := map[uint32]int{}
-	top := 0
-	for _, h := range trace {
-		counts[h.SrcIP]++
-		if counts[h.SrcIP] > top {
-			top = counts[h.SrcIP]
-		}
-	}
-	// Uniform resampling would put ~5 hits on each of the 1000 flows.
-	if top < 100 {
-		t.Errorf("hottest flow has %d of %d packets; trace not skewed", top, len(trace))
-	}
-}
-
 func TestFmtBytes(t *testing.T) {
 	tests := map[int]string{
 		512:     "512 B",
@@ -179,37 +33,6 @@ func TestFmtBytes(t *testing.T) {
 	for n, want := range tests {
 		if got := fmtBytes(n); got != want {
 			t.Errorf("fmtBytes(%d) = %q, want %q", n, got, want)
-		}
-	}
-}
-
-// TestBurstSweepRecords runs the stage-fused sweep at a tiny scale and
-// checks one engine_burst_lookup record comes out per configured burst
-// size, with the burst riding in the batch identity field and a
-// positive measured throughput.
-func TestBurstSweepRecords(t *testing.T) {
-	r := runner{sizes: []int{40}, traceN: 120, seed: 1, parallel: 2,
-		burst: []int{1, 16, 64}}
-	records := r.burstSweep()
-	if len(records) != len(r.burst) {
-		t.Fatalf("got %d records, want one per burst size %v", len(records), r.burst)
-	}
-	seen := map[int]bool{}
-	for _, rec := range records {
-		if rec.Experiment != "engine_burst_lookup" {
-			t.Errorf("experiment = %q", rec.Experiment)
-		}
-		if rec.Backend != "Decomposition" {
-			t.Errorf("backend = %q", rec.Backend)
-		}
-		seen[rec.Batch] = true
-		if rec.Error == "" && rec.MLookupsPerSec <= 0 {
-			t.Errorf("burst %d: non-positive throughput", rec.Batch)
-		}
-	}
-	for _, b := range r.burst {
-		if !seen[b] {
-			t.Errorf("missing burst %d in %v", b, seen)
 		}
 	}
 }

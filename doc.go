@@ -76,9 +76,9 @@
 // verdicts back; a sharded engine reuses one pooled result column
 // across its replica merges; LookupBytesBatch feeds decoded frames
 // through the same kernel. Burst sizes of 64 or more get the full
-// fusion benefit (see BenchmarkLookupBatch and the engine_burst_lookup
-// records cmd/lookupbench -burst emits into BENCH_lookup.json, where
-// CI tracks the burst-size curve).
+// fusion benefit; the benchmark ledger (go run ./benchmark) records the
+// 64-header burst on every workload in its engine.batch64_ns,
+// core.burst64_ns and shard.batch64_ns_x4 rows.
 //
 // # Raw-packet ingestion
 //
@@ -92,9 +92,9 @@
 //
 // The decoders live in internal/packet and write into caller-provided
 // header structs — no slicing of the input, no escapes, no per-frame
-// allocation — so the raw path is 0 allocs/op in steady state (within
-// ~5% of the pre-parsed Lookup on ACL-10K; BenchmarkLookupBytes pins
-// both properties). Frames that are too short, non-IP or otherwise
+// allocation — so the raw path is 0 allocs/op in steady state
+// (AllocsPerRun guards pin it; the ledger's engine.bytes64_ns and
+// core.v6_burst64_ns rows record its cost). Frames that are too short, non-IP or otherwise
 // undecodable yield a decode error from internal/packet (the batch
 // form writes the zero Result for them and returns the number decoded)
 // rather than a partial header. Flow-cached engines
@@ -102,8 +102,8 @@
 // sharded engines fan a decoded burst across replicas against their
 // RCU snapshots. Classifier6.LookupBytes does the same for
 // IPv6-over-Ethernet frames. This is the substrate for a future pcap
-// or AF_PACKET front end: cmd/loadgen -raw and cmd/lookupbench -raw
-// replay traces as synthesized frames through this path today.
+// or AF_PACKET front end: cmd/loadgen -raw replays schedules as
+// synthesized frames through this path today.
 //
 // # Flow cache
 //
@@ -119,7 +119,8 @@
 // Real traffic is Zipf-skewed — a few flows carry most packets — so
 // caching the full classification verdict per exact 5-tuple turns the
 // common case into a single hash probe (an order of magnitude faster
-// than the full decomposition search; see cmd/lookupbench -zipf).
+// than the full decomposition search; the ledger's acl10k_zipf_cached
+// workload and flowcache.* rows measure it).
 // Entries are generation-stamped: every completed Insert or Delete
 // bumps the cache generation, so a lookup issued after an update
 // returns can never see a pre-update verdict. Cached engines expose
@@ -273,16 +274,17 @@
 // single decision-control channel; remote workers drain arrival backlog
 // through pipelined LOOKUP writes. Results — HDR-style latency
 // quantiles (p50/p90/p99/p999), achieved throughput and per-op error
-// counts — are written as BENCH_workload.json, which cmd/benchdiff
-// compares across runs the same way it gates BENCH_lookup.json.
+// counts — print as one table row per model, and a replay with any
+// failed operation exits non-zero.
 //
 // # Hardware model
 //
 // Operations on the decomposition backend report a hardware cost (clock
 // cycles, memory lines) from a model of the paper's 200 MHz FPGA lookup
 // domain, so the published update-time, lookup-time and throughput
-// results can be regenerated; see DESIGN.md and EXPERIMENTS.md in the
-// repository root. The concrete *Classifier type (what New returns for
+// results can be regenerated; see PAPER.md in the repository root and
+// cmd/lookupbench, which prints Tables I–II, Figs. 3–4 and the Section
+// IV.D figures. The concrete *Classifier type (what New returns for
 // BackendDecomposition) additionally exposes Stats, Memory,
 // ModelThroughput and ModelLookupCycles. Baseline backends report update
 // costs through the same download model (two cycles per line written)
@@ -301,8 +303,8 @@
 // Snapshot/Replace/LookupBatch/LookupBytes surface, `TABLE CREATE
 // <name> v6` makes a v6 table in classifierd (colon-hex rule lines and
 // lookup addresses; the snapfile family attribute keeps checkpoints
-// from being restored across address families), and cmd/lookupbench
-// -raw records the v6 raw-frame path next to the v4 records.
+// from being restored across address families), and the ledger's
+// core.v6_burst64_ns row records the v6 burst path.
 //
 // # Checked invariants
 //

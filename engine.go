@@ -406,7 +406,7 @@ func New6(opts ...Option) (*Classifier6, error) {
 		// a single 128-bit trie.
 		o.cfg.LPM = core.LPMSplit64
 	}
-	inner, err := core.NewConcurrent[lpm.V6](o.cfg, nil)
+	inner, err := core.NewConcurrent[lpm.V6](o.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func TestLookupBatchIntoZeroAllocs(t *testing.T) {
 // classifier: valid for the 128-bit key, rejected for IPv4.
 func TestSplit64Config(t *testing.T) {
 	cfg := Config{LPM: LPMSplit64}
-	c6, err := NewConcurrent[lpm.V6](cfg, nil)
+	c6, err := NewConcurrent[lpm.V6](cfg)
 	if err != nil {
 		t.Fatalf("LPMSplit64 over V6: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestSplit64Config(t *testing.T) {
 	if res, _ := c6.Lookup(V6Header(miss)); res.Found {
 		t.Fatalf("split64 lookup matched %+v, want miss", res)
 	}
-	if _, err := NewConcurrent[lpm.V4](cfg, nil); err == nil {
+	if _, err := NewConcurrent[lpm.V4](cfg); err == nil {
 		t.Fatal("LPMSplit64 over V4 must be rejected")
 	}
 }

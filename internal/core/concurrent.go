@@ -19,13 +19,9 @@ type Concurrent[K lpm.Key[K]] struct {
 }
 
 // NewConcurrent returns an empty concurrency-safe classifier for the
-// configuration; the parameters mirror New.
-func NewConcurrent[K lpm.Key[K]](cfg Config, prefixLens []uint8) (*Concurrent[K], error) {
-	a, err := New[K](cfg, prefixLens)
-	if err != nil {
-		return nil, err
-	}
-	b, err := New[K](cfg, prefixLens)
+// configuration.
+func NewConcurrent[K lpm.Key[K]](cfg Config) (*Concurrent[K], error) {
+	a, b, _, err := buildTwins[K](cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +69,7 @@ func (c *Concurrent[K]) Delete(id int) (hwsim.Cost, error) {
 // instances are alive until Replace returns, instead of the usual two. The
 // returned cost is the download cost of the new ruleset only.
 func (c *Concurrent[K]) Replace(ts []Tuple[K]) (hwsim.Cost, error) {
-	cfg := c.Config()
-	a, cost, err := buildFresh(cfg, ts)
-	if err != nil {
-		return hwsim.Cost{}, err
-	}
-	b, _, err := buildFresh(cfg, ts)
+	a, b, cost, err := buildTwins(c.Config(), ts)
 	if err != nil {
 		return hwsim.Cost{}, err
 	}
@@ -198,21 +189,29 @@ func (c *Concurrent[K]) LookupCycles(n int) float64 {
 	return c.PipelineModel().CyclesFor(n)
 }
 
-// NewConcurrentV4 builds a concurrency-safe classifier pre-loaded with a
-// rule set — the concurrent counterpart of NewV4.
-func NewConcurrentV4(cfg Config, s *rule.Set) (*Concurrent[lpm.V4], error) {
-	var lens []uint8
-	if s != nil {
-		lens = PrefixLens(s)
+// buildTwins builds both snapshot instances fresh from ts, returning the
+// download cost of one.
+func buildTwins[K lpm.Key[K]](cfg Config, ts []Tuple[K]) (a, b *Classifier[K], cost hwsim.Cost, err error) {
+	if a, cost, err = buildFresh(cfg, ts); err != nil {
+		return nil, nil, hwsim.Cost{}, err
 	}
-	c, err := NewConcurrent[lpm.V4](cfg, lens)
+	if b, _, err = buildFresh(cfg, ts); err != nil {
+		return nil, nil, hwsim.Cost{}, err
+	}
+	return a, b, cost, nil
+}
+
+// NewConcurrentV4 builds a concurrency-safe classifier pre-loaded with a
+// rule set (nil starts empty) — the concurrent counterpart of NewV4. Its
+// two instances are built the way Replace builds them.
+func NewConcurrentV4(cfg Config, s *rule.Set) (*Concurrent[lpm.V4], error) {
+	var ts []Tuple[lpm.V4]
+	if s != nil {
+		ts = CompileSet(s)
+	}
+	a, b, _, err := buildTwins(cfg, ts)
 	if err != nil {
 		return nil, err
 	}
-	if s != nil {
-		if _, err := c.Build(CompileSet(s)); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Concurrent[lpm.V4]{store: rcu.NewStore(a, b)}, nil
 }

@@ -18,7 +18,7 @@ import (
 // Run with -race; correctness of each observed snapshot is checked
 // against the tuple the lookup was sampled from.
 func TestConcurrentChurnRace(t *testing.T) {
-	c, err := NewConcurrent[lpm.V4](Config{LPM: LPMMultiBitTrie, Range: RangeSegmentTree}, nil)
+	c, err := NewConcurrent[lpm.V4](Config{LPM: LPMMultiBitTrie, Range: RangeSegmentTree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestConcurrentChurnRace(t *testing.T) {
 // spare instance back, or the partially inserted rules become visible
 // once a later successful update publishes that instance.
 func TestConcurrentFailedBuildLeavesNoPhantoms(t *testing.T) {
-	c, err := NewConcurrent[lpm.V4](Config{}, nil)
+	c, err := NewConcurrent[lpm.V4](Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

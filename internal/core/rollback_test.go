@@ -272,7 +272,7 @@ func TestReplaceFailedBuildPublishesNothing(t *testing.T) {
 		check(t, c, nil)
 	})
 	t.Run("concurrent", func(t *testing.T) {
-		c, err := NewConcurrent[lpm.V4](cfg, nil)
+		c, err := NewConcurrent[lpm.V4](cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

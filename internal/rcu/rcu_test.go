@@ -67,7 +67,9 @@ func TestUpdateErrorLeavesPublishedStateUnchanged(t *testing.T) {
 
 // TestConcurrentReadersDuringUpdates is the core -race exercise: readers
 // must always observe a consistent snapshot (every key k holds k) while a
-// writer churns.
+// writer churns. Readers yield after each lease: four readers that never
+// block can hold every P, and the writer's drain spins on Gosched, so on a
+// two-core machine each Update would otherwise wait for async preemption.
 func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	s := NewStore(newBox(), newBox())
 	var stop atomic.Bool
@@ -86,6 +88,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					}
 				}
 				h.Release()
+				runtime.Gosched()
 			}
 		}()
 	}

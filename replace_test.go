@@ -297,8 +297,8 @@ func runReplaceChurn(t *testing.T, opts []repro.Option, genA, genB generation, p
 }
 
 // TestReplaceEqualsFreshBuild pins what a swap leaves behind: after
-// Replace(B) an engine that held A is indistinguishable from one built
-// from B — same Snapshot, Len and modeled Memory — because Replace builds
+// Replace(B) an engine that held A, or held nothing, is indistinguishable
+// from one built from B — same Snapshot, Len and modeled Memory — because Replace builds
 // fresh rather than tearing A down (a torn-down trie keeps the nodes A
 // grew, and an AM-Trie keeps A's strides). IPv4 across the LPM modes, and
 // the IPv6 domain against the same rules inserted one by one.
@@ -310,25 +310,32 @@ func TestReplaceEqualsFreshBuild(t *testing.T) {
 		"bst":     {LPM: repro.LPMBinarySearchTree, Range: repro.RangeSegmentTree},
 		"amtrie":  {LPM: repro.LPMAMTrie, Range: repro.RangeRangeTree, Exact: repro.ExactHashTable},
 	} {
-		swapped, err := repro.New(repro.WithConfig(cfg), repro.WithRules(a))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := swapped.Replace(b.Rules()); err != nil {
-			t.Fatalf("%s: Replace: %v", name, err)
-		}
 		fresh, err := repro.New(repro.WithConfig(cfg), repro.WithRules(b))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got, want := swapped.Len(), fresh.Len(); got != want {
-			t.Errorf("%s: Len = %d, fresh build has %d", name, got, want)
-		}
-		if got, want := swapped.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Snapshot differs from a fresh build's", name)
-		}
-		if got, want := swapped.Memory(), fresh.Memory(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Memory = %+v\nfresh build: %+v", name, got, want)
+		// Replace(B) over A, and over an empty engine, must both leave what
+		// loading B at construction leaves.
+		for from, opts := range map[string][]repro.Option{
+			"A":     {repro.WithConfig(cfg), repro.WithRules(a)},
+			"empty": {repro.WithConfig(cfg)},
+		} {
+			swapped, err := repro.New(opts...)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, from, err)
+			}
+			if _, err := swapped.Replace(b.Rules()); err != nil {
+				t.Fatalf("%s/%s: Replace: %v", name, from, err)
+			}
+			if got, want := swapped.Len(), fresh.Len(); got != want {
+				t.Errorf("%s/%s: Len = %d, fresh build has %d", name, from, got, want)
+			}
+			if got, want := swapped.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: Snapshot differs from a fresh build's", name, from)
+			}
+			if got, want := swapped.Memory(), fresh.Memory(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: Memory = %+v\nfresh build: %+v", name, from, got, want)
+			}
 		}
 	}
 
